@@ -36,9 +36,8 @@ from .constructive import (
     ParamClass,
     build_ham_cycle,
     classify,
-    construction_cost,
     key_edges,
 )
-from .trees import TreePair, build_ists, independence_report, verify_independence
+from .trees import TreePair, build_ists, independence_report
 
 __version__ = "0.1.0"

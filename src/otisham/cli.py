@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success / verdict obtained, 2 inconclusive (budget),
-3 verification mismatch, 4 usage error.  ``--json`` output is
+3 verification mismatch, 4 usage error: a bad option, an unreadable or
+malformed input file, a label or pair the graph does not have, or a bad
+OTISHAM_THREADS value, reported as one ``error:`` line.  ``--json`` output is
 byte-identical across runs for identical inputs, budgets and seed;
 timings are printed only in human-readable mode.
 """
@@ -18,6 +20,7 @@ from collections import Counter
 from . import __version__
 from .constructive import (
     FailureReport,
+    ParamClass,
     UNSUPPORTED_CLASS,
     build_ham_cycle,
     classify,
@@ -33,7 +36,7 @@ from .engine import (
     decide,
 )
 from .graph import Graph, GraphError, cycle_violation, graph_hash
-from .io import read_cycle_certificate, read_edge_list, to_dot, write_edge_list
+from .io import read_cycle_certificate, read_edge_list, read_seed, to_dot, write_edge_list
 from .topology import (
     BowtieParams,
     gen_bowtie,
@@ -52,6 +55,10 @@ EXIT_MISMATCH = 3
 EXIT_USAGE = 4
 
 
+class UsageError(ValueError):
+    """A setting outside the command line that the program cannot use."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -59,9 +66,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive(kind):
+    """argparse type: a ``kind`` value that must be greater than zero."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise GraphError(f"{path} is not UTF-8 text") from None
+
+
 def _read_graph(path: str) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return read_edge_list(fh.read())
+    return read_edge_list(_read_text(path))
 
 
 def _emit(args, payload: dict, wall_ms: float) -> None:
@@ -85,10 +112,7 @@ def _write_graph(graph: Graph, out: str | None, dot: bool) -> None:
 
 
 def _budget(args) -> SearchBudget:
-    return SearchBudget(
-        max_nodes=getattr(args, "budget_nodes", None) or 10_000_000,
-        max_seconds=getattr(args, "budget_secs", None) or 600.0,
-    )
+    return SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
 
 
 def cmd_gen(args) -> int:
@@ -128,12 +152,11 @@ def cmd_decide(args) -> int:
     graph = _read_graph(getattr(args, "in"))
     seed = None
     if args.seed:
-        with open(args.seed, encoding="utf-8") as fh:
-            directives = json.load(fh)
+        forced, deleted = read_seed(_read_text(args.seed))
         seed = EdgeAssignment.for_graph(graph)
-        for u, v in directives.get("forced", []):
+        for u, v in forced:
             seed.seed_force(u, v)
-        for u, v in directives.get("deleted", []):
+        for u, v in deleted:
             seed.seed_delete(u, v)
     verdict = decide(graph, seed=seed, budget=_budget(args))
     payload = {
@@ -171,7 +194,14 @@ def cmd_refute_count(args) -> int:
 
 def cmd_ham_build(args) -> int:
     t0 = time.perf_counter()
-    if args.emit_key_edges:
+    try:
+        BowtieParams(args.m, args.n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    # even-even pairs have no table; they get the same unsupported-class
+    # report below that a build gives
+    if args.emit_key_edges and classify(args.m, args.n) is not ParamClass.EVEN_EVEN:
         try:
             edges = key_edges(args.m, args.n)
         except ValueError as exc:
@@ -216,8 +246,7 @@ def cmd_ham_build(args) -> int:
 
 def cmd_ist(args) -> int:
     t0 = time.perf_counter()
-    with open(args.cycle, encoding="utf-8") as fh:
-        cert = read_cycle_certificate(fh.read())
+    cert = read_cycle_certificate(_read_text(args.cycle))
     graph = None
     if getattr(args, "in", None):
         graph = _read_graph(getattr(args, "in"))
@@ -226,13 +255,8 @@ def cmd_ist(args) -> int:
             return EXIT_MISMATCH
     pair = build_ists(cert["order"], args.root)
     if graph is None:
-        cycle_graph = Graph()
-        for v in cert["order"]:
-            cycle_graph.add_vertex(v)
         order = cert["order"]
-        for k, u in enumerate(order):
-            cycle_graph.add_edge(u, order[(k + 1) % len(order)])
-        graph = cycle_graph
+        graph = Graph.from_edges(zip(order, order[1:] + order[:1]), vertices=order)
     report = independence_report(pair, graph)
     payload = {
         "root": pair.root,
@@ -248,8 +272,7 @@ def cmd_ist(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     graph = _read_graph(getattr(args, "in"))
-    with open(args.cycle, encoding="utf-8") as fh:
-        cert = read_cycle_certificate(fh.read())
+    cert = read_cycle_certificate(_read_text(args.cycle))
     hash_ok = graph_hash(graph) == cert["graph_hash"]
     reason = cycle_violation(graph, cert["order"])
     payload = {
@@ -326,7 +349,9 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
-def _sweep_pairs(max_base: int) -> list[tuple[int, int]]:
+def sweep_pairs(max_base: int) -> list[tuple[int, int]]:
+    """Every (m, n) with 3 <= m <= n and m + n - 1 <= max_base, as given
+    (not normalized), even-even pairs included."""
     pairs = []
     for a in range(3, max_base + 1):
         for b in range(a, max_base + 1):
@@ -361,14 +386,23 @@ def _sweep_one(mn, budget: SearchBudget) -> dict:
     return entry
 
 
+def sweep_workers() -> int:
+    """Sweep worker processes: OTISHAM_THREADS (default 1), capped at the
+    CPU count."""
+    text = os.environ.get("OTISHAM_THREADS", "1")
+    if not text.isdecimal() or int(text) < 1:
+        raise UsageError(f"OTISHAM_THREADS must be a positive integer, got {text!r}")
+    return min(int(text), os.cpu_count() or 1)
+
+
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     if args.max_base < 5:
         print("error: --max-base must be >= 5", file=sys.stderr)
         return EXIT_USAGE
     budget = _budget(args)
-    pairs = _sweep_pairs(args.max_base)
-    workers = int(os.environ.get("OTISHAM_THREADS", "1"))
+    pairs = sweep_pairs(args.max_base)
+    workers = sweep_workers()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -401,6 +435,12 @@ def build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
+    def add_budget(p):
+        p.add_argument("--budget-nodes", type=_positive(int), dest="budget_nodes",
+                       default=SearchBudget.max_nodes)
+        p.add_argument("--budget-secs", type=_positive(float), dest="budget_secs",
+                       default=SearchBudget.max_seconds)
+
     p = add("gen", cmd_gen, help="generate a base graph")
     p.add_argument("family", choices=["bowtie", "butterfly", "cycle", "path", "complete"])
     p.add_argument("--m", type=int)
@@ -417,8 +457,7 @@ def build_parser() -> _Parser:
 
     p = add("decide", cmd_decide, help="complete Hamiltonicity decision")
     p.add_argument("--in", required=True)
-    p.add_argument("--budget-nodes", type=int, dest="budget_nodes")
-    p.add_argument("--budget-secs", type=float, dest="budget_secs")
+    add_budget(p)
     p.add_argument("--seed", help="JSON file with forced/deleted label pairs")
 
     p = add("refute-count", cmd_refute_count, help="counting non-Hamiltonicity certificate")
@@ -428,8 +467,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--emit-key-edges", action="store_true")
-    p.add_argument("--budget-nodes", type=int, dest="budget_nodes")
-    p.add_argument("--budget-secs", type=float, dest="budget_secs")
+    add_budget(p)
     p.add_argument("--out")
     p.add_argument("--dot", action="store_true")
 
@@ -450,8 +488,7 @@ def build_parser() -> _Parser:
 
     p = add("sweep", cmd_sweep, help="build and verify every supported pair")
     p.add_argument("--max-base", type=int, required=True)
-    p.add_argument("--budget-nodes", type=int, dest="budget_nodes")
-    p.add_argument("--budget-secs", type=float, dest="budget_secs")
+    add_budget(p)
 
     return parser
 
@@ -461,10 +498,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (GraphError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -72,7 +72,6 @@ class _Rows:
     def __init__(self, m: int, n: int):
         self.c = m
         self.i = m + n - 1
-        self.m = m
         self.n = n
         self.out: list[KeyEdge] = []
 
@@ -371,11 +370,10 @@ class BuildResult:
 
 @dataclass(frozen=True)
 class FailureReport:
-    kind: str  # "unsupported-class" | "contradiction" | "undecided"
+    kind: str  # "unsupported-class" | "contradiction"
     param_class: ParamClass
     detail: str
     contradiction: Contradiction | None = None
-    undecided_edge: tuple[str, str] | None = None
 
 
 UNSUPPORTED_CLASS = "unsupported-class"
@@ -390,7 +388,6 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
     """
     p = BowtieParams.normalized(m, n)
     cls = classify(p.m, p.n)
-    graph = otis(gen_bowtie(p.m, p.n))
     if cls is ParamClass.EVEN_EVEN:
         return FailureReport(
             kind=UNSUPPORTED_CLASS,
@@ -398,34 +395,25 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
             detail="no construction exists for even-even pairs; "
             "(4,4) and (4,6) are proven non-Hamiltonian",
         )
+    graph = otis(gen_bowtie(p.m, p.n))
+
+    def contradiction(detail: str, witness: Contradiction | None = None) -> FailureReport:
+        return FailureReport("contradiction", cls, detail, witness)
+
     if cls is ParamClass.SMALL_FIGURE:
         verdict = decide(graph, budget=budget)
         if not verdict.is_hamiltonian:
-            return FailureReport(
-                kind="contradiction",
-                param_class=cls,
-                detail=f"decider returned {verdict.status}",
-            )
+            return contradiction(f"decider returned {verdict.status}")
         return BuildResult(cycle=verdict.cycle, param_class=cls, steps=verdict.steps, graph=graph)
     asg = EdgeAssignment.for_graph(graph)
     for ke in key_edges(p.m, p.n):
         asg.seed_delete(otis_label(str(ke.cluster), str(ke.a)),
                         otis_label(str(ke.cluster), str(ke.b)))
         if asg.conflict is not None:
-            return FailureReport(
-                kind="contradiction",
-                param_class=cls,
-                detail=f"seeding {ke.tag} already contradicts: {asg.conflict}",
-                contradiction=asg.conflict,
-            )
+            return contradiction(f"seeding {ke.tag} already contradicts: {asg.conflict}", asg.conflict)
     result = propagate(asg)
     if isinstance(result, Contradiction):
-        return FailureReport(
-            kind="contradiction",
-            param_class=cls,
-            detail=str(result),
-            contradiction=result,
-        )
+        return contradiction(str(result), result)
     steps = asg.steps
     if asg.n_undecided == 0:
         cycle = asg.extract_cycle()
@@ -436,24 +424,9 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
         # search shallow.
         verdict = decide(graph, seed=asg, budget=budget)
         if not verdict.is_hamiltonian:
-            return FailureReport(
-                kind="contradiction",
-                param_class=cls,
-                detail=f"no completion of the table fixpoint: {verdict.status}",
-            )
+            return contradiction(f"no completion of the table fixpoint: {verdict.status}")
         cycle = verdict.cycle
         steps += verdict.steps
     if not is_hamiltonian_cycle(graph, cycle):
         raise AssertionError("constructed cycle failed verification")
     return BuildResult(cycle=cycle, param_class=cls, steps=steps, graph=graph)
-
-
-def construction_cost(m: int, n: int) -> int:
-    """Propagation step count of a fresh table-driven build."""
-    cls = classify(m, n)
-    if cls not in _TABLES:
-        raise ValueError(f"construction cost undefined for class {cls.value}")
-    result = build_ham_cycle(m, n)
-    if isinstance(result, FailureReport):
-        raise ValueError(f"build failed for ({m},{n}): {result.detail}")
-    return result.steps

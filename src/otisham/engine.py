@@ -49,38 +49,9 @@ class Contradiction:
         return f"{self.kind} at {self.vertex}"
 
 
-class IndexedGraph:
-    """Array-indexed companion of a Graph used by the engine."""
-
-    __slots__ = ("graph", "labels", "index", "edges", "edge_id", "incident")
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self.labels = graph.vertices()
-        self.index = {v: k for k, v in enumerate(self.labels)}
-        self.edges: list[tuple[int, int]] = []
-        self.edge_id: dict[tuple[int, int], int] = {}
-        self.incident: list[list[int]] = [[] for _ in self.labels]
-        for u, v in graph.edges():
-            a, b = self.index[u], self.index[v]
-            key = (a, b) if a < b else (b, a)
-            eid = len(self.edges)
-            self.edges.append(key)
-            self.edge_id[key] = eid
-            self.incident[a].append(eid)
-            self.incident[b].append(eid)
-
-    def eid(self, u: str, v: str) -> int:
-        a, b = self.index[u], self.index[v]
-        key = (a, b) if a < b else (b, a)
-        try:
-            return self.edge_id[key]
-        except KeyError:
-            raise ValueError(f"({u!r}, {v!r}) is not an edge of the graph") from None
-
-
 class EdgeAssignment:
-    """Tri-state edge labelling with cached per-vertex counts.
+    """Tri-state edge labelling, over the host graph's edge ids, with
+    cached per-vertex counts; the graph must not change under it.
 
     Transitions are monotone: an edge moves undecided -> forced or
     undecided -> deleted at most once.  ``steps`` counts elementary engine
@@ -88,92 +59,72 @@ class EdgeAssignment:
     """
 
     __slots__ = (
-        "ig",
+        "graph",
         "state",
         "forced",
         "live",
         "chain_end",
         "chain_size",
         "n_undecided",
-        "n_forced",
         "closed",
         "conflict",
         "queue",
         "primed",
         "steps",
         "transitions",
-        "trace",
     )
 
-    def __init__(self, ig: IndexedGraph):
-        self.ig = ig
-        n, m = len(ig.labels), len(ig.edges)
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        n, m = graph.n_vertices, graph.n_edges
         self.state = bytearray(m)
         self.forced = [0] * n
-        self.live = [len(ig.incident[k]) for k in range(n)]
+        self.live = [len(inc) for inc in graph.incident]
         self.chain_end = list(range(n))
         self.chain_size = [1] * n
         self.n_undecided = m
-        self.n_forced = 0
         self.closed = False
         self.conflict: Contradiction | None = None
         self.queue: deque[int] = deque()
         self.primed = False
         self.steps = 0
         self.transitions = 0
-        self.trace: list | None = None  # optional (op, u, v) log for debugging
 
     @classmethod
     def for_graph(cls, graph: Graph) -> "EdgeAssignment":
-        return cls(IndexedGraph(graph))
+        return cls(graph)
 
     def copy(self) -> "EdgeAssignment":
         new = object.__new__(EdgeAssignment)
-        new.ig = self.ig
+        new.graph = self.graph
         new.state = bytearray(self.state)
         new.forced = self.forced[:]
         new.live = self.live[:]
         new.chain_end = self.chain_end[:]
         new.chain_size = self.chain_size[:]
         new.n_undecided = self.n_undecided
-        new.n_forced = self.n_forced
         new.closed = self.closed
         new.conflict = self.conflict
         new.queue = deque(self.queue)
         new.primed = self.primed
         new.steps = 0
         new.transitions = 0
-        new.trace = None
         return new
 
     # -- state inspection -------------------------------------------------
 
     def edge_state(self, u: str, v: str) -> int:
-        return self.state[self.ig.eid(u, v)]
+        return self.state[self.graph.edge_index(u, v)]
+
+    def _pairs(self, status: int) -> list[tuple[str, str]]:
+        lab = self.graph.labels
+        return [(lab[a], lab[b]) for eid, (a, b) in enumerate(self.graph.ends) if self.state[eid] == status]
 
     def forced_pairs(self) -> list[tuple[str, str]]:
-        lab = self.ig.labels
-        return [
-            (lab[a], lab[b])
-            for eid, (a, b) in enumerate(self.ig.edges)
-            if self.state[eid] == FORCED
-        ]
+        return self._pairs(FORCED)
 
     def deleted_pairs(self) -> list[tuple[str, str]]:
-        lab = self.ig.labels
-        return [
-            (lab[a], lab[b])
-            for eid, (a, b) in enumerate(self.ig.edges)
-            if self.state[eid] == DELETED
-        ]
-
-    def undecided_pairs(self) -> list[tuple[str, str]]:
-        lab = self.ig.labels
-        return [
-            (lab[a], lab[b])
-            for eid, (a, b) in enumerate(self.ig.edges)
-            if self.state[eid] == UNDECIDED
-        ]
+        return self._pairs(DELETED)
 
     def snapshot(self) -> tuple[bytes, bool]:
         return bytes(self.state), self.conflict is not None
@@ -181,22 +132,22 @@ class EdgeAssignment:
     # -- primitives --------------------------------------------------------
 
     def seed_force(self, u: str, v: str) -> None:
-        self._force(self.ig.eid(u, v))
+        self._force(self.graph.edge_index(u, v))
 
     def seed_delete(self, u: str, v: str) -> None:
-        self._delete(self.ig.eid(u, v))
+        self._delete(self.graph.edge_index(u, v))
 
-    def _walk_chain(self, start: int) -> list[str]:
-        """Labels along the forced path/cycle through ``start``."""
-        ig = self.ig
+    def _walk_chain(self, start: int) -> list[int]:
+        """Vertex indices along the forced path/cycle through ``start``."""
+        ends, incident = self.graph.ends, self.graph.incident
         out = [start]
         prev = -1
         cur = start
         while True:
             nxt = -1
-            for eid in ig.incident[cur]:
+            for eid in incident[cur]:
                 if self.state[eid] == FORCED:
-                    a, b = ig.edges[eid]
+                    a, b = ends[eid]
                     w = b if a == cur else a
                     if w != prev:
                         nxt = w
@@ -205,7 +156,21 @@ class EdgeAssignment:
                 break
             out.append(nxt)
             prev, cur = cur, nxt
-        return [ig.labels[k] for k in out]
+        return out
+
+    def _cycle_conflict(self, eid: int, start: int, size: int) -> None:
+        """Forcing ``eid`` would close a cycle of ``size`` < |V| vertices
+        through ``start``.  One missing exactly one vertex strands it: every
+        neighbour it has sits saturated on the cycle."""
+        self.state[eid] = FORCED  # include it in the witness walk
+        cyc = self._walk_chain(start)
+        self.state[eid] = UNDECIDED
+        lab = self.graph.labels
+        if size == len(lab) - 1:
+            (stranded,) = set(range(len(lab))) - set(cyc)
+            self.conflict = Contradiction(VERTEX_UNDERFILLED, vertex=lab[stranded])
+        else:
+            self.conflict = Contradiction(SHORT_SUBCYCLE, cycle=tuple(lab[k] for k in cyc))
 
     def _force(self, eid: int) -> None:
         if self.conflict is not None:
@@ -213,8 +178,8 @@ class EdgeAssignment:
         st = self.state[eid]
         if st == FORCED:
             return
-        a, b = self.ig.edges[eid]
-        lab = self.ig.labels
+        a, b = self.graph.ends[eid]
+        lab = self.graph.labels
         if st == DELETED:
             # forcing an edge the state already excludes: its endpoint is
             # out of usable edges
@@ -233,24 +198,13 @@ class EdgeAssignment:
             # closing the chain that already joins a and b
             size = self.chain_size[a]
             if size < n:
-                self.state[eid] = FORCED  # include it in the witness walk
-                cyc = self._walk_chain(a)
-                if size == n - 1:
-                    # a cycle missing exactly one vertex strands it: every
-                    # neighbour it has sits saturated on the cycle
-                    stranded = (set(lab) - set(cyc)).pop()
-                    self.conflict = Contradiction(VERTEX_UNDERFILLED, vertex=stranded)
-                else:
-                    self.conflict = Contradiction(SHORT_SUBCYCLE, cycle=tuple(cyc))
+                self._cycle_conflict(eid, a, size)
                 return
             self.closed = True
         self.state[eid] = FORCED
-        if self.trace is not None:
-            self.trace.append(("force", lab[a], lab[b]))
         self.transitions += 1
         self.steps += 1
         self.n_undecided -= 1
-        self.n_forced += 1
         self.forced[a] += 1
         self.forced[b] += 1
         self.queue.append(a)
@@ -263,20 +217,13 @@ class EdgeAssignment:
             self.chain_size[end_b] = merged
             if merged < n:
                 key = (end_a, end_b) if end_a < end_b else (end_b, end_a)
-                chord = self.ig.edge_id.get(key)
+                chord = self.graph.edge_id.get(key)
                 if chord is not None and self.state[chord] == UNDECIDED:
                     if self.live[end_a] == 2 or self.live[end_b] == 2:
                         # the chord is both required (two-live) and
                         # forbidden (it closes a short cycle): report the
                         # cycle, the real obstruction
-                        self.state[chord] = FORCED
-                        cyc = self._walk_chain(end_a)
-                        self.state[chord] = UNDECIDED
-                        if merged == n - 1:
-                            stranded = (set(lab) - set(cyc)).pop()
-                            self.conflict = Contradiction(VERTEX_UNDERFILLED, vertex=stranded)
-                        else:
-                            self.conflict = Contradiction(SHORT_SUBCYCLE, cycle=tuple(cyc))
+                        self._cycle_conflict(chord, end_a, merged)
                         return
                     self._delete(chord)
                     if self.conflict is not None:
@@ -284,7 +231,7 @@ class EdgeAssignment:
         # saturation applies the moment a vertex owns two cycle edges
         for v in (a, b):
             if self.forced[v] == 2:
-                for other in self.ig.incident[v]:
+                for other in self.graph.incident[v]:
                     if self.state[other] == UNDECIDED:
                         self._delete(other)
                         if self.conflict is not None:
@@ -296,16 +243,13 @@ class EdgeAssignment:
         st = self.state[eid]
         if st == DELETED:
             return
+        a, b = self.graph.ends[eid]
+        lab = self.graph.labels
         if st == FORCED:
-            a, b = self.ig.edges[eid]
             v = a if self.live[a] <= 2 else b
-            self.conflict = Contradiction(VERTEX_UNDERFILLED, vertex=self.ig.labels[v])
+            self.conflict = Contradiction(VERTEX_UNDERFILLED, vertex=lab[v])
             return
-        a, b = self.ig.edges[eid]
         self.state[eid] = DELETED
-        lab = self.ig.labels
-        if self.trace is not None:
-            self.trace.append(("delete", lab[a], lab[b]))
         self.transitions += 1
         self.steps += 1
         self.n_undecided -= 1
@@ -317,17 +261,17 @@ class EdgeAssignment:
             self.queue.append(v)
 
     def _apply_rules(self, v: int) -> None:
-        ig = self.ig
+        incident = self.graph.incident[v]
         if self.forced[v] == 2:
             # saturation: drop every other incident edge
-            for eid in ig.incident[v]:
+            for eid in incident:
                 if self.state[eid] == UNDECIDED:
                     self._delete(eid)
                     if self.conflict is not None:
                         return
         elif self.live[v] == 2:
             # two-live: both remaining edges must be on the cycle
-            for eid in ig.incident[v]:
+            for eid in incident:
                 if self.state[eid] == UNDECIDED:
                     self._force(eid)
                     if self.conflict is not None:
@@ -357,7 +301,7 @@ class EdgeAssignment:
         """
         if self.primed:
             return
-        self.queue.extendleft(reversed(range(len(self.ig.labels))))
+        self.queue.extendleft(reversed(range(self.graph.n_vertices)))
         self.primed = True
 
     def is_complete(self) -> bool:
@@ -366,12 +310,11 @@ class EdgeAssignment:
     def extract_cycle(self) -> HamCycle:
         if not self.is_complete():
             raise ValueError("assignment is not a completed cycle")
-        ig = self.ig
-        start = 0
-        order = self._walk_chain(start)
-        if len(order) != len(ig.labels):
+        order = self._walk_chain(0)
+        if len(order) != self.graph.n_vertices:
             raise ValueError("forced edges do not cover every vertex")
-        return HamCycle(order=tuple(order))
+        lab = self.graph.labels
+        return HamCycle(order=tuple(lab[k] for k in order))
 
 
 def propagate(assignment: EdgeAssignment, *, rng: random.Random | None = None):
@@ -412,16 +355,17 @@ def _branch_edge(asg: EdgeAssignment) -> int:
     by the neighbour's index."""
     best_v = -1
     best_live = None
-    for v in range(len(asg.ig.labels)):
+    ends, incident = asg.graph.ends, asg.graph.incident
+    for v in range(asg.graph.n_vertices):
         if asg.live[v] > asg.forced[v]:  # has an undecided incident edge
             if best_live is None or asg.live[v] < best_live:
                 best_live = asg.live[v]
                 best_v = v
     best_eid = -1
     best_other = None
-    for eid in asg.ig.incident[best_v]:
+    for eid in incident[best_v]:
         if asg.state[eid] == UNDECIDED:
-            a, b = asg.ig.edges[eid]
+            a, b = ends[eid]
             other = b if a == best_v else a
             if best_other is None or other < best_other:
                 best_other = other
@@ -442,12 +386,9 @@ def decide(
     exhaustion.
     """
     budget = budget or SearchBudget()
-    n = graph.n_vertices
-    if n < 3 or not is_connected(graph):
+    if graph.n_vertices < 3 or not is_connected(graph) or min(map(len, graph.incident)) < 2:
         return HamVerdict(NON_HAMILTONIAN, nodes=0, max_depth=0)
-    if min(graph.degree(v) for v in graph.vertices()) < 2:
-        return HamVerdict(NON_HAMILTONIAN, nodes=0, max_depth=0)
-    if seed is not None and seed.ig.labels != graph.vertices():
+    if seed is not None and seed.graph is not graph:
         raise ValueError("seed assignment was built for a different graph")
     root = seed.copy() if seed is not None else EdgeAssignment.for_graph(graph)
     root.prime()

@@ -1,7 +1,12 @@
-"""Undirected simple graphs with deterministic iteration order.
+"""Undirected simple graphs, stored once by vertex index.
 
-Vertex labels are opaque strings.  Vertices, neighbours and edges are
-always iterated in insertion order, so metrics, cycle extraction and
+Vertex labels are opaque strings, numbered 0, 1, 2, ... in order of first
+appearance (``labels[k]``, ``index[label]``).  Edge ids count insertions:
+``ends[e]`` holds edge e's endpoint indices, lower first, ``edge_id`` maps
+that pair back to e, and ``incident[v]`` lists v's edge ids in insertion
+order.  Generators, metrics and the engine read these arrays; only this
+module maps labels to indices.  The label-level methods are views over the
+arrays, and ``edges()`` keeps each edge's insertion orientation, so
 exports are reproducible run to run.
 """
 
@@ -20,12 +25,15 @@ class GraphError(ValueError):
 class Graph:
     """Simple undirected graph: no self-loops, no parallel edges."""
 
-    __slots__ = ("_adj", "_edge_set", "_edges")
+    __slots__ = ("labels", "index", "ends", "flipped", "edge_id", "incident")
 
     def __init__(self):
-        self._adj: dict[str, list[str]] = {}
-        self._edges: list[tuple[str, str]] = []
-        self._edge_set: set[tuple[str, str]] = set()
+        self.labels: list[str] = []
+        self.index: dict[str, int] = {}
+        self.ends: list[tuple[int, int]] = []
+        self.flipped = bytearray()  # 1 where an edge was added higher index first
+        self.edge_id: dict[tuple[int, int], int] = {}
+        self.incident: list[list[int]] = []
 
     @classmethod
     def from_edges(cls, edges, vertices=()) -> "Graph":
@@ -41,56 +49,80 @@ class Graph:
     def add_vertex(self, v: str) -> None:
         if not v or any(ch.isspace() for ch in v):
             raise GraphError(f"vertex label must be non-empty and whitespace-free: {v!r}")
-        if v not in self._adj:
-            self._adj[v] = []
+        if v not in self.index:
+            self.index[v] = len(self.labels)
+            self.labels.append(v)
+            self.incident.append([])
 
     def add_edge(self, u: str, v: str) -> None:
-        if u not in self._adj or v not in self._adj:
-            missing = u if u not in self._adj else v
+        if u not in self.index or v not in self.index:
+            missing = u if u not in self.index else v
             raise GraphError(f"edge endpoint {missing!r} is not a declared vertex")
-        if u == v:
-            raise GraphError(f"self-loop rejected at {u!r}")
-        key = (u, v) if u < v else (v, u)
-        if key in self._edge_set:
-            raise GraphError(f"parallel edge rejected: ({u!r}, {v!r})")
-        self._edge_set.add(key)
-        self._edges.append((u, v))
-        self._adj[u].append(v)
-        self._adj[v].append(u)
+        self.link(self.index[u], self.index[v])
+
+    def link(self, a: int, b: int) -> None:
+        """Add the edge between vertex indices ``a`` and ``b``, oriented a to b."""
+        if a == b:
+            raise GraphError(f"self-loop rejected at {self.labels[a]!r}")
+        key = (a, b) if a < b else (b, a)
+        if key in self.edge_id:
+            raise GraphError(f"parallel edge rejected: ({self.labels[a]!r}, {self.labels[b]!r})")
+        eid = len(self.ends)
+        self.edge_id[key] = eid
+        self.ends.append(key)
+        self.flipped.append(a > b)
+        self.incident[a].append(eid)
+        self.incident[b].append(eid)
+
+    def edge_index(self, u: str, v: str) -> int:
+        """The edge id of {u, v}."""
+        a, b = self._vertex(u), self._vertex(v)
+        eid = self.edge_id.get((a, b) if a < b else (b, a))
+        if eid is None:
+            raise GraphError(f"({u!r}, {v!r}) is not an edge of the graph")
+        return eid
+
+    def oriented_ends(self) -> list[tuple[int, int]]:
+        """Each edge's endpoint indices in the orientation it was added in."""
+        return [(b, a) if f else (a, b) for (a, b), f in zip(self.ends, self.flipped)]
 
     def vertices(self) -> list[str]:
-        return list(self._adj)
+        return list(self.labels)
 
     def edges(self) -> list[tuple[str, str]]:
-        return list(self._edges)
+        lab = self.labels
+        return [(lab[a], lab[b]) for a, b in self.oriented_ends()]
 
     def neighbors(self, v: str) -> list[str]:
-        if v not in self._adj:
-            raise GraphError(f"unknown vertex {v!r}")
-        return list(self._adj[v])
+        k = self._vertex(v)
+        lab, ends = self.labels, self.ends
+        return [lab[b if a == k else a] for a, b in (ends[e] for e in self.incident[k])]
 
     def degree(self, v: str) -> int:
-        if v not in self._adj:
-            raise GraphError(f"unknown vertex {v!r}")
-        return len(self._adj[v])
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self._adj
+        return len(self.incident[self._vertex(v)])
 
     def has_edge(self, u: str, v: str) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._edge_set
+        a, b = self.index.get(u), self.index.get(v)
+        if a is None or b is None:
+            return False
+        return ((a, b) if a < b else (b, a)) in self.edge_id
+
+    def _vertex(self, v: str) -> int:
+        try:
+            return self.index[v]
+        except KeyError:
+            raise GraphError(f"unknown vertex {v!r}") from None
 
     @property
     def n_vertices(self) -> int:
-        return len(self._adj)
+        return len(self.labels)
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges)
+        return len(self.ends)
 
     def __contains__(self, v: str) -> bool:
-        return v in self._adj
+        return v in self.index
 
     def __repr__(self):
         return f"Graph(|V|={self.n_vertices}, |E|={self.n_edges})"
@@ -157,7 +189,7 @@ def max_edge_disjoint_ham_bound(graph: Graph) -> int:
     """Ceiling on pairwise edge-disjoint Hamiltonian cycles: floor(min degree / 2)."""
     if graph.n_vertices == 0:
         raise GraphError("empty graph")
-    return min(graph.degree(v) for v in graph.vertices()) // 2
+    return min(len(inc) for inc in graph.incident) // 2
 
 
 @dataclass(frozen=True)
@@ -169,46 +201,45 @@ class GraphMetrics:
     connectivity_exact: bool
 
 
-def _eccentricity(adj: dict[str, list[str]], source: str) -> tuple[int, int]:
-    """(max BFS depth from source, number of reached vertices)."""
-    dist = {source: 0}
+def _eccentricity(graph: Graph, source: int) -> tuple[int, int]:
+    """(max BFS depth from vertex index source, number of reached vertices)."""
+    ends, incident = graph.ends, graph.incident
+    dist = [-1] * graph.n_vertices
+    dist[source] = 0
     q = deque([source])
     far = 0
+    reached = 1
     while q:
         u = q.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                far = max(far, dist[w])
+        for e in incident[u]:
+            a, b = ends[e]
+            w = b if a == u else a
+            if dist[w] < 0:
+                dist[w] = far = dist[u] + 1
+                reached += 1
                 q.append(w)
-    return far, len(dist)
+    return far, reached
 
 
 def diameter(graph: Graph) -> float:
     """Exact diameter by all-pairs BFS; inf when disconnected."""
-    verts = graph.vertices()
-    if not verts:
+    n = graph.n_vertices
+    if n == 0:
         raise GraphError("empty graph")
-    adj = {v: graph.neighbors(v) for v in verts}
     worst = 0
-    for v in verts:
-        ecc, reached = _eccentricity(adj, v)
-        if reached != len(verts):
+    for v in range(n):
+        ecc, reached = _eccentricity(graph, v)
+        if reached != n:
             return math.inf
         worst = max(worst, ecc)
     return float(worst)
 
 
 def is_connected(graph: Graph) -> bool:
-    verts = graph.vertices()
-    if not verts:
-        return True
-    adj = {v: graph.neighbors(v) for v in verts}
-    _, reached = _eccentricity(adj, verts[0])
-    return reached == len(verts)
+    return graph.n_vertices == 0 or _eccentricity(graph, 0)[1] == graph.n_vertices
 
 
-def _vertex_maxflow(graph: Graph, index: dict[str, int], s: str, t: str) -> int:
+def _vertex_maxflow(graph: Graph, s: int, t: int) -> int:
     """Internally-disjoint s-t path count via unit-capacity node splitting."""
     n = graph.n_vertices
     # node 2k = v_in, 2k+1 = v_out
@@ -224,14 +255,13 @@ def _vertex_maxflow(graph: Graph, index: dict[str, int], s: str, t: str) -> int:
         cap[(a, b)] += c
 
     big = n + 1
-    for v, k in index.items():
-        add_arc(2 * k, 2 * k + 1, big if v in (s, t) else 1)
-    for u, v in graph.edges():
-        a, b = index[u], index[v]
+    for k in range(n):
+        add_arc(2 * k, 2 * k + 1, big if k in (s, t) else 1)
+    for a, b in graph.ends:
         add_arc(2 * a + 1, 2 * b, 1)
         add_arc(2 * b + 1, 2 * a, 1)
 
-    src, snk = 2 * index[s], 2 * index[t] + 1
+    src, snk = 2 * s, 2 * t + 1
     flow = 0
     while True:
         parent = {src: src}
@@ -255,12 +285,10 @@ def _vertex_maxflow(graph: Graph, index: dict[str, int], s: str, t: str) -> int:
 
 def _has_articulation(graph: Graph) -> bool:
     """Iterative lowpoint scan for cut vertices (assumes connected input)."""
-    verts = graph.vertices()
-    if len(verts) < 3:
+    n = graph.n_vertices
+    if n < 3:
         return False
-    index = {v: k for k, v in enumerate(verts)}
-    adj = [[index[w] for w in graph.neighbors(v)] for v in verts]
-    n = len(verts)
+    ends, incident = graph.ends, graph.incident
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
@@ -272,9 +300,10 @@ def _has_articulation(graph: Graph) -> bool:
     root_children = 0
     while stack:
         v, ptr = stack[-1]
-        if ptr < len(adj[v]):
+        if ptr < len(incident[v]):
             stack[-1] = (v, ptr + 1)
-            w = adj[v][ptr]
+            a, b = ends[incident[v][ptr]]
+            w = b if a == v else a
             if disc[w] == -1:
                 parent[w] = v
                 disc[w] = low[w] = timer
@@ -297,8 +326,7 @@ def _has_articulation(graph: Graph) -> bool:
 def vertex_connectivity(graph: Graph, *, cap: int = 64) -> tuple[int, bool]:
     """(connectivity, exact?) -- exact max-flow value up to ``cap`` vertices,
     a cheap articulation-based lower bound beyond it."""
-    verts = graph.vertices()
-    n = len(verts)
+    n = graph.n_vertices
     if n == 0:
         raise GraphError("empty graph")
     if n == 1:
@@ -309,13 +337,11 @@ def vertex_connectivity(graph: Graph, *, cap: int = 64) -> tuple[int, bool]:
         return n - 1, True
     if n > cap:
         return (1 if _has_articulation(graph) else 2), False
-    index = {v: k for k, v in enumerate(verts)}
     best = n - 1
     for a in range(n):
         for b in range(a + 1, n):
-            u, v = verts[a], verts[b]
-            if not graph.has_edge(u, v):
-                best = min(best, _vertex_maxflow(graph, index, u, v))
+            if (a, b) not in graph.edge_id:
+                best = min(best, _vertex_maxflow(graph, a, b))
                 if best == 0:
                     return 0, True
     return best, True
@@ -323,15 +349,14 @@ def vertex_connectivity(graph: Graph, *, cap: int = 64) -> tuple[int, bool]:
 
 def metrics(graph: Graph, *, connectivity_cap: int = 64) -> GraphMetrics:
     """Degree extremes, exact BFS diameter, and (capped) vertex connectivity."""
-    verts = graph.vertices()
-    if not verts:
+    if graph.n_vertices == 0:
         raise GraphError("empty graph")
-    degs = [graph.degree(v) for v in verts]
+    degs = [len(inc) for inc in graph.incident]
     kappa, exact = vertex_connectivity(graph, cap=connectivity_cap)
     return GraphMetrics(
         min_degree=min(degs),
         max_degree=max(degs),
-        diameter=0.0 if len(verts) == 1 else diameter(graph),
+        diameter=0.0 if graph.n_vertices == 1 else diameter(graph),
         vertex_connectivity=kappa,
         connectivity_exact=exact,
     )

@@ -77,9 +77,46 @@ def write_cycle_certificate(graph: Graph, cycle, *, verified: bool | None = None
     return json.dumps(payload, indent=None, separators=(",", ":"), sort_keys=True)
 
 
+def _load_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _is_labels(value, length: int | None = None) -> bool:
+    return (
+        isinstance(value, list)
+        and (length is None or len(value) == length)
+        and all(isinstance(v, str) for v in value)
+    )
+
+
 def read_cycle_certificate(text: str) -> dict:
-    payload = json.loads(text)
+    payload = _load_json(text, "cycle certificate")
+    if not isinstance(payload, dict):
+        raise GraphError("cycle certificate must be a JSON object")
     for field in ("graph_hash", "order", "verified"):
         if field not in payload:
             raise GraphError(f"cycle certificate missing {field!r}")
+    if not isinstance(payload["graph_hash"], str):
+        raise GraphError("cycle certificate 'graph_hash' must be a string")
+    if not _is_labels(payload["order"]):
+        raise GraphError("cycle certificate 'order' must be a list of vertex labels")
+    if not isinstance(payload["verified"], bool):
+        raise GraphError("cycle certificate 'verified' must be true or false")
     return payload
+
+
+def read_seed(text: str) -> tuple[list[list[str]], list[list[str]]]:
+    """(forced, deleted) label pairs of a seed file
+    ``{"forced": [[u, v], ...], "deleted": [[u, v], ...]}``; either key may
+    be left out."""
+    payload = _load_json(text, "seed")
+    if not isinstance(payload, dict) or not set(payload) <= {"forced", "deleted"}:
+        raise GraphError('seed must be a JSON object with keys "forced" and "deleted" only')
+    forced, deleted = payload.get("forced", []), payload.get("deleted", [])
+    for pairs in (forced, deleted):
+        if not isinstance(pairs, list) or not all(_is_labels(p, 2) for p in pairs):
+            raise GraphError("seed pairs must be lists of [u, v] vertex labels")
+    return forced, deleted

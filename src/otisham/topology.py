@@ -2,14 +2,16 @@
 and the OTIS (swapped network) composition operator.
 
 OTIS vertices are labelled ``"g:u"`` where ``g`` is the cluster address and
-``u`` the processor address, both base-graph labels.
+``u`` the processor address, both base-graph labels; over an N-vertex base
+vertex <g,u> has index g*N + u.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .graph import Graph
+from .graph import Graph, GraphError
 
 
 @dataclass(frozen=True)
@@ -97,60 +99,47 @@ def otis_label(cluster: str, processor: str) -> str:
     return f"{cluster}:{processor}"
 
 
-def split_otis_label(label: str) -> tuple[str, str]:
-    cluster, _, processor = label.partition(":")
-    return cluster, processor
-
-
 def otis(base: Graph) -> Graph:
     """Swapped network over ``base``: one cluster copy of the base per base
-    vertex, plus the transpose edge <g,u> -- <u,g> for every g != u."""
+    vertex, plus the transpose edge <g,u> -- <u,g> for every g != u.
+
+    Over an N-vertex base, OTIS vertex <g,u> gets index g*N + u, so the
+    edges are index arithmetic and each label is formatted once."""
     verts = base.vertices()
-    if len(verts) < 2:
+    size = len(verts)
+    if size < 2:
         raise ValueError("OTIS base needs at least 2 vertices")
     g = Graph()
     for cluster in verts:
         for processor in verts:
             g.add_vertex(otis_label(cluster, processor))
-    for cluster in verts:
-        for u, v in base.edges():
-            g.add_edge(otis_label(cluster, u), otis_label(cluster, v))
-    for a, u in enumerate(verts):
-        for v in verts[a + 1 :]:
-            g.add_edge(otis_label(u, v), otis_label(v, u))
+    if g.n_vertices != size * size:
+        raise GraphError("base labels collide once joined into OTIS labels")
+    base_edges = base.oriented_ends()
+    for offset in range(0, size * size, size):
+        for a, b in base_edges:
+            g.link(offset + a, offset + b)
+    for a in range(size):
+        for b in range(a + 1, size):
+            g.link(a * size + b, b * size + a)
     return g
 
 
 def gen_cycle(k: int) -> Graph:
     if k < 3:
         raise ValueError(f"cycle needs k >= 3, got {k}")
-    g = Graph()
-    for v in range(1, k + 1):
-        g.add_vertex(str(v))
-    for v in range(1, k):
-        g.add_edge(str(v), str(v + 1))
-    g.add_edge(str(k), "1")
-    return g
+    return Graph.from_edges((str(v), str(v % k + 1)) for v in range(1, k + 1))
 
 
 def gen_path(k: int) -> Graph:
     if k < 1:
         raise ValueError(f"path needs k >= 1, got {k}")
-    g = Graph()
-    for v in range(1, k + 1):
-        g.add_vertex(str(v))
-    for v in range(1, k):
-        g.add_edge(str(v), str(v + 1))
-    return g
+    labels = [str(v) for v in range(1, k + 1)]
+    return Graph.from_edges(zip(labels, labels[1:]), vertices=labels)
 
 
 def gen_complete(k: int) -> Graph:
     if k < 3:
         raise ValueError(f"complete graph needs k >= 3, got {k}")
-    g = Graph()
-    for v in range(1, k + 1):
-        g.add_vertex(str(v))
-    for u in range(1, k + 1):
-        for v in range(u + 1, k + 1):
-            g.add_edge(str(u), str(v))
-    return g
+    labels = [str(v) for v in range(1, k + 1)]
+    return Graph.from_edges(combinations(labels, 2), vertices=labels)

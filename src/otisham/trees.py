@@ -99,12 +99,6 @@ def independence_report(pair: TreePair, graph: Graph) -> IndependenceReport:
     return IndependenceReport(vertex_ok, edge_ok, violation)
 
 
-def verify_independence(pair: TreePair, graph: Graph) -> bool:
-    """True iff for every vertex the two root paths share nothing but
-    their endpoints."""
-    return independence_report(pair, graph).vertex_disjoint
-
-
 def tree_edges(parent: dict[str, str]) -> set[tuple[str, str]]:
     return {tuple(sorted((child, par))) for child, par in parent.items()}
 

@@ -7,7 +7,9 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from otisham.cli import sweep_pairs
 from otisham.constructive import BuildResult, build_ham_cycle
+from otisham.engine import Contradiction, EdgeAssignment, propagate
 from otisham.graph import Graph
 from otisham.topology import BowtieParams
 
@@ -18,11 +20,10 @@ settings.load_profile("suite")
 def sweep_parameter_pairs(max_base: int = 21) -> list[tuple[int, int]]:
     """Normalized supported (m, n) with i = m + n - 1 <= max_base."""
     out = []
-    for a in range(3, max_base + 1):
-        for b in range(a, max_base + 1):
-            if a + b - 1 <= max_base and not (a % 2 == 0 and b % 2 == 0):
-                p = BowtieParams.normalized(a, b)
-                out.append((p.m, p.n))
+    for a, b in sweep_pairs(max_base):
+        if not (a % 2 == 0 and b % 2 == 0):
+            p = BowtieParams.normalized(a, b)
+            out.append((p.m, p.n))
     return out
 
 
@@ -35,6 +36,36 @@ def sweep_builds() -> dict[tuple[int, int], BuildResult]:
         assert isinstance(result, BuildResult), f"({m},{n}): {result}"
         builds[(m, n)] = result
     return builds
+
+
+def staged_propagation(graph, stages):
+    """Apply (forced, deleted) seed batches with a propagation fixpoint
+    between each; returns (first Contradiction, its stage index) or
+    (final assignment, None)."""
+    asg = EdgeAssignment.for_graph(graph)
+    res = propagate(asg)
+    assert isinstance(res, EdgeAssignment)
+    for k, (forced, deleted) in enumerate(stages):
+        for u, v in forced:
+            asg.seed_force(u, v)
+            if asg.conflict is not None:
+                return asg.conflict, k
+        for u, v in deleted:
+            asg.seed_delete(u, v)
+            if asg.conflict is not None:
+                return asg.conflict, k
+        res = propagate(asg)
+        if isinstance(res, Contradiction):
+            return res, k
+    return asg, None
+
+
+# the published OTIS(BF(4,6)) case analysis: the consistent main line
+MAIN_LINE = [
+    ((("4:3", "4:4"),), (("4:1", "4:4"),)),  # exactly one cut-pair edge; pick 4:3
+    ((("4:4", "4:9"),), ()),
+    ((("9:2", "9:3"),), ()),
+]
 
 
 def random_graph(rng: random.Random, max_vertices: int = 10) -> Graph:

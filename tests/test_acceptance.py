@@ -15,14 +15,7 @@ from otisham.constructive import (
     build_ham_cycle,
     classify,
 )
-from otisham.engine import (
-    Contradiction,
-    EdgeAssignment,
-    SHORT_SUBCYCLE,
-    VERTEX_UNDERFILLED,
-    decide,
-    propagate,
-)
+from otisham.engine import Contradiction, SHORT_SUBCYCLE, VERTEX_UNDERFILLED, decide
 from otisham.graph import Graph, diameter, is_hamiltonian_cycle
 from otisham.topology import (
     BowtieParams,
@@ -33,11 +26,16 @@ from otisham.topology import (
     gen_path,
     otis,
     otis_label,
-    split_otis_label,
 )
 from otisham.trees import build_ists, independence_report, is_spanning_tree
 
-from conftest import random_connected_graph, random_graph, sweep_parameter_pairs
+from conftest import (
+    MAIN_LINE,
+    random_connected_graph,
+    random_graph,
+    staged_propagation,
+    sweep_parameter_pairs,
+)
 from ham_oracle import oracle_is_hamiltonian
 
 
@@ -81,31 +79,6 @@ def otis46():
     return otis(gen_bowtie(4, 6))
 
 
-def _staged(graph, stages):
-    asg = EdgeAssignment.for_graph(graph)
-    res = propagate(asg)
-    assert isinstance(res, EdgeAssignment)
-    for k, (forced, deleted) in enumerate(stages):
-        for u, v in forced:
-            asg.seed_force(u, v)
-            if asg.conflict is not None:
-                return asg.conflict, k
-        for u, v in deleted:
-            asg.seed_delete(u, v)
-            if asg.conflict is not None:
-                return asg.conflict, k
-        res = propagate(asg)
-        if isinstance(res, Contradiction):
-            return res, k
-    return asg, None
-
-
-MAIN_LINE = [
-    ((("4:3", "4:4"),), (("4:1", "4:4"),)),  # exactly one cut-pair edge; pick 4:3
-    ((("4:4", "4:9"),), ()),
-    ((("9:2", "9:3"),), ()),
-]
-
 # the listed forced edges of the first branch, ending at the stranded vertex
 CASE_1_FINAL = [
     ("6:2", "6:1"),
@@ -142,32 +115,32 @@ def test_criterion_2_complete_refutation(otis44, otis46):
     assert t44 < 600 and t46 < 600
 
     # both cut-pair edges used: forced subcycle
-    res, _ = _staged(otis46, [((("4:1", "4:4"), ("4:3", "4:4")), ()), ((("4:2", "4:3"),), ())])
+    res, _ = staged_propagation(otis46, [((("4:1", "4:4"), ("4:3", "4:4")), ()), ((("4:2", "4:3"),), ())])
     assert isinstance(res, Contradiction) and res.kind == SHORT_SUBCYCLE
 
     # both cut-pair edges unused: forced subcycle (the 11-vertex one)
-    res, _ = _staged(otis46, [((), (("4:1", "4:4"), ("4:3", "4:4")))])
+    res, _ = staged_propagation(otis46, [((), (("4:1", "4:4"), ("4:3", "4:4")))])
     assert isinstance(res, Contradiction) and res.kind == SHORT_SUBCYCLE
     assert len(res.cycle) == 11
 
     # branch case 1 collapses at <5,7>
-    res, _ = _staged(otis46, MAIN_LINE + [((("2:6", "6:2"),), ()), (tuple(CASE_1_FINAL), ())])
+    res, _ = staged_propagation(otis46, MAIN_LINE + [((("2:6", "6:2"),), ()), (tuple(CASE_1_FINAL), ())])
     assert isinstance(res, Contradiction)
     assert res.kind == VERTEX_UNDERFILLED and res.vertex == "5:7"
 
     # branch case 2, first sub-case collapses at <9,7>
-    res, _ = _staged(otis46, CASE_2_PREFIX + [((("5:7", "5:6"), ("5:7", "5:8")), ())])
+    res, _ = staged_propagation(otis46, CASE_2_PREFIX + [((("5:7", "5:6"), ("5:7", "5:8")), ())])
     assert isinstance(res, Contradiction)
     assert res.kind == VERTEX_UNDERFILLED and res.vertex == "9:7"
 
     # branch case 2, second sub-case collapses at <7,2>
-    res, _ = _staged(otis46, CASE_2_PREFIX + [(tuple(CASE_22_FINAL), ())])
+    res, _ = staged_propagation(otis46, CASE_2_PREFIX + [(tuple(CASE_22_FINAL), ())])
     assert isinstance(res, Contradiction)
     assert res.kind == VERTEX_UNDERFILLED and res.vertex == "7:2"
 
     # branch case 2, third sub-case: the forced subcycle through <7,4>
     # (its published continuation to <6,9> exists only as a figure)
-    res, _ = _staged(otis46, CASE_2_PREFIX + [((("5:7", "5:8"), ("5:7", "7:5")), ())])
+    res, _ = staged_propagation(otis46, CASE_2_PREFIX + [((("5:7", "5:8"), ("5:7", "7:5")), ())])
     assert isinstance(res, Contradiction) and res.kind == SHORT_SUBCYCLE
     assert "7:4" in res.cycle and "7:5" in res.cycle and "7:9" in res.cycle
 
@@ -364,8 +337,8 @@ def test_criterion_9_degree_and_diameter_law():
     for base in bases:
         g = otis(base)
         for label in g.vertices():
-            cluster, proc = split_otis_label(label)
-            expected = base.degree(proc) + (1 if cluster != proc else 0)
+            cluster, proc = divmod(g.index[label], base.n_vertices)  # <g,u> is g*N + u
+            expected = base.degree(base.labels[proc]) + (1 if cluster != proc else 0)
             assert g.degree(label) == expected, label
         d = diameter(base)
         od = diameter(g)

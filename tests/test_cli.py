@@ -173,3 +173,63 @@ def test_json_output_is_byte_identical():
     a = run("reproduce", "--json").stdout
     b = run("reproduce", "--json").stdout
     assert a == b
+
+
+def test_emit_key_edges_even_even_reports_unsupported():
+    build = run("ham-build", "--m", "4", "--n", "4", "--json")
+    emit = run("ham-build", "--m", "4", "--n", "4", "--emit-key-edges", "--json")
+    assert emit.stdout == build.stdout
+    assert json.loads(emit.stdout)["failure"] == "unsupported-class"
+
+
+C4_SEED_CERT = {"graph_hash": "x", "order": ["1", "2", "3", "4"], "verified": True}
+
+# (argv with {graph}/{file} placeholders, text of {file}, environment overrides)
+BAD_INPUTS = {
+    "cycle length below 3": (["ham-build", "--m", "2", "--n", "5"], None, {}),
+    "zero node budget": (["decide", "--in", "{graph}", "--budget-nodes", "0"], None, {}),
+    "zero time budget": (["decide", "--in", "{graph}", "--budget-secs", "0"], None, {}),
+    "negative build budget": (["ham-build", "--m", "3", "--n", "5", "--budget-nodes", "-1"], None, {}),
+    "seed with an unknown label": (["decide", "--in", "{graph}", "--seed", "{file}"], '{"forced": [["1", "9"]]}', {}),
+    "seed with a non-edge": (["decide", "--in", "{graph}", "--seed", "{file}"], '{"deleted": [["1", "3"]]}', {}),
+    "seed that is a list": (["decide", "--in", "{graph}", "--seed", "{file}"], '[["1", "2"]]', {}),
+    "seed that is not JSON": (["decide", "--in", "{graph}", "--seed", "{file}"], '{"forced": [', {}),
+    "seed with an unknown key": (["decide", "--in", "{graph}", "--seed", "{file}"], '{"force": []}', {}),
+    "ist certificate not JSON": (["ist", "--cycle", "{file}", "--root", "1"], "not json", {}),
+    "verify certificate not JSON": (["verify", "--in", "{graph}", "--cycle", "{file}"], "not json", {}),
+    "certificate order is a string": (
+        ["ist", "--cycle", "{file}", "--root", "a"], json.dumps(C4_SEED_CERT | {"order": "abc"}), {}),
+    "threads not a number": (["sweep", "--max-base", "5"], None, {"OTISHAM_THREADS": "abc"}),
+    "threads zero": (["sweep", "--max-base", "5"], None, {"OTISHAM_THREADS": "0"}),
+    "graph path is a directory": (["decide", "--in", "{dir}"], None, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_fails_closed(case, tmp_path, monkeypatch):
+    argv, text, env = BAD_INPUTS[case]
+    graph = tmp_path / "c4.el"
+    graph.write_text("V 4\n1 2\n2 3\n3 4\n4 1\n")
+    file = tmp_path / "input.json"
+    if text is not None:
+        file.write_text(text)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = [a.format(graph=graph, file=file, dir=tmp_path) for a in argv]
+    proc = run(*argv, "--json", check=False)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_sweep_workers_clamped_to_cpu_count(monkeypatch):
+    from otisham import cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("OTISHAM_THREADS", raising=False)
+    assert cli.sweep_workers() == 1
+    monkeypatch.setenv("OTISHAM_THREADS", "2")
+    assert cli.sweep_workers() == 2
+    monkeypatch.setenv("OTISHAM_THREADS", "4096")
+    assert cli.sweep_workers() == 2

@@ -11,7 +11,6 @@ from otisham.constructive import (
     ParamClass,
     build_ham_cycle,
     classify,
-    construction_cost,
     key_edges,
 )
 from otisham.engine import decide
@@ -136,19 +135,19 @@ def test_every_sweep_build_is_verified(sweep_builds):
 
 
 def test_construction_cost_examples():
-    s35 = construction_cost(3, 5)
-    s39 = construction_cost(3, 9)
+    s35 = build_ham_cycle(3, 5).steps
+    s39 = build_ham_cycle(3, 9).steps
     v35 = 7 * 7
     v39 = 11 * 11
     assert s39 / s35 <= 3 * (v39 / v35)
+    # the cost is a table build's: (3,3) has no table, (4,4) no build
     with pytest.raises(ValueError):
-        construction_cost(3, 3)
-    with pytest.raises(ValueError):
-        construction_cost(4, 4)
+        key_edges(3, 3)
+    assert isinstance(build_ham_cycle(4, 4), FailureReport)
 
 
 def test_construction_cost_is_deterministic():
-    assert construction_cost(5, 9) == construction_cost(5, 9)
+    assert build_ham_cycle(5, 9).steps == build_ham_cycle(5, 9).steps
 
 
 def test_second_edge_disjoint_cycle_impossible_small():

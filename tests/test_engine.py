@@ -13,10 +13,10 @@ from otisham.engine import (
     decide,
     propagate,
 )
-from otisham.graph import is_hamiltonian_cycle
+from otisham.graph import Graph, is_hamiltonian_cycle
 from otisham.topology import gen_bowtie, gen_complete, gen_cycle, gen_path, otis
 
-from conftest import random_graph
+from conftest import MAIN_LINE, random_graph, staged_propagation
 from ham_oracle import oracle_all_cycles, oracle_is_hamiltonian
 
 
@@ -98,6 +98,16 @@ def test_decide_refutes_both_even_even_instances():
     assert v46.status == "non-hamiltonian" and v46.nodes > 0
 
 
+def test_decide_rejects_a_seed_built_for_another_graph():
+    # same labels, different edges: the seed's edge ids mean other edges here
+    g1 = Graph.from_edges([("1", "2"), ("2", "3"), ("3", "4"), ("4", "1"), ("1", "3")])
+    g2 = Graph.from_edges([("1", "2"), ("2", "3"), ("3", "4"), ("4", "1"), ("2", "4")])
+    seed = EdgeAssignment.for_graph(g1)
+    seed.seed_force("1", "3")
+    with pytest.raises(ValueError):
+        decide(g2, seed=seed)
+
+
 def test_decide_budget_exhaustion_is_inconclusive():
     v = decide(gen_complete(6), budget=SearchBudget(max_nodes=1))
     assert v.status == "inconclusive" and v.reason == "node-budget"
@@ -167,36 +177,8 @@ def otis_46():
     return otis(gen_bowtie(4, 6))
 
 
-def staged_propagation(graph, stages):
-    """Apply seed batches with a propagation fixpoint between each; returns
-    the first Contradiction or the final assignment."""
-    asg = EdgeAssignment.for_graph(graph)
-    res = propagate(asg)
-    assert isinstance(res, EdgeAssignment)
-    for forced, deleted in stages:
-        for u, v in forced:
-            asg.seed_force(u, v)
-            if asg.conflict is not None:
-                return asg.conflict
-        for u, v in deleted:
-            asg.seed_delete(u, v)
-            if asg.conflict is not None:
-                return asg.conflict
-        res = propagate(asg)
-        if isinstance(res, Contradiction):
-            return res
-    return asg
-
-
-MAIN_LINE = [
-    ((("4:3", "4:4"),), (("4:1", "4:4"),)),
-    ((("4:4", "4:9"),), ()),
-    ((("9:2", "9:3"),), ()),
-]
-
-
 def test_case_analysis_cut_pair_cannot_be_both_used(otis_46):
-    res = staged_propagation(
+    res, _ = staged_propagation(
         otis_46,
         [((("4:1", "4:4"), ("4:3", "4:4")), ()), ((("4:2", "4:3"),), ())],
     )
@@ -205,14 +187,14 @@ def test_case_analysis_cut_pair_cannot_be_both_used(otis_46):
 
 
 def test_case_analysis_cut_pair_cannot_be_both_unused(otis_46):
-    res = staged_propagation(otis_46, [((), (("4:1", "4:4"), ("4:3", "4:4")))])
+    res, _ = staged_propagation(otis_46, [((), (("4:1", "4:4"), ("4:3", "4:4")))])
     assert isinstance(res, Contradiction)
     assert res.kind == SHORT_SUBCYCLE
     assert len(res.cycle) == 11
 
 
 def test_case_analysis_main_line_stays_consistent(otis_46):
-    res = staged_propagation(otis_46, MAIN_LINE)
+    res, _ = staged_propagation(otis_46, MAIN_LINE)
     assert isinstance(res, EdgeAssignment)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -169,6 +170,32 @@ def test_cycle_certificate_round_trip():
     cert = read_cycle_certificate(text)
     assert cert["verified"] is True
     assert cert["graph_hash"] == graph_hash(c5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("order", "abc"), ("order", ["1", 2]), ("graph_hash", 5), ("verified", "yes"), ("verified", 1)],
+)
+def test_cycle_certificate_fields_are_type_checked(field, value):
+    cert = json.loads(write_cycle_certificate(gen_cycle(3), ["1", "2", "3"]))
+    cert[field] = value
+    with pytest.raises(GraphError):
+        read_cycle_certificate(json.dumps(cert))
+    with pytest.raises(GraphError):
+        read_cycle_certificate(json.dumps([cert]))
+
+
+def test_edge_ids_store_lower_index_first_and_keep_orientation():
+    g = Graph.from_edges([("b", "a"), ("a", "c")], vertices=["c"])
+    assert g.labels == ["c", "b", "a"] and g.index == {"c": 0, "b": 1, "a": 2}
+    assert g.ends == [(1, 2), (0, 2)]
+    assert g.edges() == [("b", "a"), ("a", "c")]
+    assert g.incident == [[1], [0], [0, 1]]
+    assert g.edge_index("a", "b") == g.edge_index("b", "a") == 0
+    with pytest.raises(GraphError):
+        g.edge_index("a", "zzz")
+    with pytest.raises(GraphError):
+        g.edge_index("b", "c")
 
 
 def test_dot_export_groups_clusters():

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from otisham.graph import is_connected
+from otisham.graph import Graph, GraphError, is_connected
 from otisham.topology import (
     BowtieParams,
     gen_bowtie,
@@ -13,7 +13,6 @@ from otisham.topology import (
     gen_cycle,
     gen_path,
     otis,
-    split_otis_label,
 )
 
 from conftest import random_connected_graph
@@ -102,8 +101,8 @@ def test_otis_degree_law(seed):
     base = random_connected_graph(random.Random(seed), max_vertices=7)
     g = otis(base)
     for label in g.vertices():
-        cluster, proc = split_otis_label(label)
-        expected = base.degree(proc) + (1 if cluster != proc else 0)
+        cluster, proc = divmod(g.index[label], base.n_vertices)  # <g,u> is g*N + u
+        expected = base.degree(base.labels[proc]) + (1 if cluster != proc else 0)
         assert g.degree(label) == expected
 
 
@@ -113,7 +112,7 @@ def test_transpose_edges_form_perfect_matching():
     off_diag = [v for v in g.vertices() if len(set(v.split(":"))) == 2]
     matched = set()
     for label in off_diag:
-        cluster, proc = split_otis_label(label)
+        cluster, proc = label.split(":")
         partner = f"{proc}:{cluster}"
         assert g.has_edge(label, partner)
         matched.add(label)
@@ -135,6 +134,12 @@ def test_cluster_induced_subgraph_matches_base():
             if g.has_edge(a, b)
         )
         assert intra == base.n_edges
+
+
+def test_otis_rejects_colliding_labels():
+    base = Graph.from_edges([("a:b", "c"), ("c", "a"), ("a", "b:c")])
+    with pytest.raises(GraphError):
+        otis(base)  # <a:b, c> and <a, b:c> would share the label a:b:c
 
 
 def test_fixture_generators():

@@ -12,7 +12,6 @@ from otisham.trees import (
     independence_report,
     is_spanning_tree,
     tree_edges,
-    verify_independence,
 )
 
 
@@ -24,14 +23,14 @@ def test_c5_tree_pair_matches_arc_structure():
     # second tree drops (5,1): path 1-2-3-4-5
     assert pair.omitted_edge_2 == ("5", "1")
     assert pair.parent2 == {"2": "1", "3": "2", "4": "3", "5": "4"}
-    assert verify_independence(pair, gen_cycle(5))
+    assert independence_report(pair, gen_cycle(5)).vertex_disjoint
 
 
 def test_c3_any_root():
     c3 = gen_cycle(3)
     for root in "123":
         pair = build_ists(HamCycle(("1", "2", "3")), root)
-        assert verify_independence(pair, c3)
+        assert independence_report(pair, c3).vertex_disjoint
 
 
 def test_root_must_be_on_cycle():
@@ -49,7 +48,7 @@ def test_identical_trees_are_not_independent():
         omitted_edge_1=pair.omitted_edge_2,
         omitted_edge_2=pair.omitted_edge_2,
     )
-    assert not verify_independence(forged, c5)
+    assert not independence_report(forged, c5).vertex_disjoint
 
 
 def test_tree_edges_must_exist_in_graph():
@@ -93,7 +92,7 @@ def test_tree_pair_survives_base_chords():
     result = build_ham_cycle(3, 7)
     assert isinstance(result, BuildResult)
     pair = build_ists(result.cycle, "2:5")
-    assert verify_independence(pair, result.graph)
+    assert independence_report(pair, result.graph).vertex_disjoint
     base = gen_bowtie(3, 7)
     base.add_edge("4", "6")  # chord inside the right cycle; 5 keeps degree 2
     base.add_edge("6", "8")  # 7 keeps degree 2
