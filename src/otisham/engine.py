@@ -16,7 +16,9 @@ witness of an inconsistent state gets reported first depends on it.
 
 A complete decider searches over the undecided edges with this propagation
 as the pruning engine, and a counting refuter certifies non-Hamiltonicity
-from degree surpluses alone.
+from degree surpluses alone.  The search keeps one assignment: while it
+runs, every change is logged to a trail, and backtracking undoes the trail
+back to a mark (the trail-and-undo design of MiniSat, Een & Sorensson 2003).
 """
 
 from __future__ import annotations
@@ -54,8 +56,11 @@ class EdgeAssignment:
     cached per-vertex counts; the graph must not change under it.
 
     Transitions are monotone: an edge moves undecided -> forced or
-    undecided -> deleted at most once.  ``steps`` counts elementary engine
-    operations (state transitions plus worklist pops).
+    undecided -> deleted at most once, except that ``undo`` takes back the
+    changes logged since a trail mark.  ``steps`` counts elementary engine
+    operations (state transitions plus worklist pops); undo does not lower
+    it.  ``trail`` is None outside a search, so plain propagation logs
+    nothing.
     """
 
     __slots__ = (
@@ -66,12 +71,12 @@ class EdgeAssignment:
         "chain_end",
         "chain_size",
         "n_undecided",
-        "closed",
         "conflict",
         "queue",
         "primed",
         "steps",
         "transitions",
+        "trail",
     )
 
     def __init__(self, graph: Graph):
@@ -83,12 +88,16 @@ class EdgeAssignment:
         self.chain_end = list(range(n))
         self.chain_size = [1] * n
         self.n_undecided = m
-        self.closed = False
         self.conflict: Contradiction | None = None
         self.queue: deque[int] = deque()
         self.primed = False
         self.steps = 0
         self.transitions = 0
+        # while a search runs, one record per state transition: the edge id
+        # of a deletion or of the forced edge that closes the cycle; for any
+        # other forced edge, a tuple of its id and both chain ends it joins,
+        # each followed by its old chain_end and chain_size
+        self.trail: list | None = None
 
     @classmethod
     def for_graph(cls, graph: Graph) -> "EdgeAssignment":
@@ -103,12 +112,12 @@ class EdgeAssignment:
         new.chain_end = self.chain_end[:]
         new.chain_size = self.chain_size[:]
         new.n_undecided = self.n_undecided
-        new.closed = self.closed
         new.conflict = self.conflict
         new.queue = deque(self.queue)
         new.primed = self.primed
         new.steps = 0
         new.transitions = 0
+        new.trail = None
         return new
 
     # -- state inspection -------------------------------------------------
@@ -194,13 +203,15 @@ class EdgeAssignment:
             return
         end_a, end_b = self.chain_end[a], self.chain_end[b]
         n = len(lab)
-        if end_a == b:
-            # closing the chain that already joins a and b
+        # closing the chain that already joins a and b: only the Hamiltonian
+        # cycle gets past this check, after which every vertex is saturated
+        # and no edge is forced again
+        closing = end_a == b
+        if closing:
             size = self.chain_size[a]
             if size < n:
                 self._cycle_conflict(eid, a, size)
                 return
-            self.closed = True
         self.state[eid] = FORCED
         self.transitions += 1
         self.steps += 1
@@ -209,8 +220,15 @@ class EdgeAssignment:
         self.forced[b] += 1
         self.queue.append(a)
         self.queue.append(b)
-        if not self.closed and end_a != b:
+        trail = self.trail
+        if closing:
+            if trail is not None:
+                trail.append(eid)
+        else:
             merged = self.chain_size[end_a] + self.chain_size[end_b]
+            if trail is not None:
+                trail.append((eid, end_a, self.chain_end[end_a], self.chain_size[end_a],
+                              end_b, self.chain_end[end_b], self.chain_size[end_b]))
             self.chain_end[end_a] = end_b
             self.chain_end[end_b] = end_a
             self.chain_size[end_a] = merged
@@ -250,15 +268,48 @@ class EdgeAssignment:
             self.conflict = Contradiction(VERTEX_UNDERFILLED, vertex=lab[v])
             return
         self.state[eid] = DELETED
+        trail = self.trail
+        if trail is not None:
+            trail.append(eid)
         self.transitions += 1
         self.steps += 1
         self.n_undecided -= 1
+        # both counts drop before either is checked, so undo is exact
+        self.live[a] -= 1
+        self.live[b] -= 1
         for v in (a, b):
-            self.live[v] -= 1
             if self.live[v] < 2:
                 self.conflict = Contradiction(VERTEX_UNDERFILLED, vertex=lab[v])
                 return
             self.queue.append(v)
+
+    def undo(self, mark: int) -> None:
+        """Take back every trail entry past ``mark``, newest first, and drop
+        any conflict and pending work.  ``n_undecided`` is the caller's to
+        restore: it is saved with the mark."""
+        trail, state, ends = self.trail, self.state, self.graph.ends
+        forced, live = self.forced, self.live
+        chain_end, chain_size = self.chain_end, self.chain_size
+        for _ in range(len(trail) - mark):
+            x = trail.pop()
+            if x.__class__ is tuple:  # a forced edge that joined two chains
+                x, end_a, old_end_a, old_size_a, end_b, old_end_b, old_size_b = x
+                chain_end[end_a], chain_size[end_a] = old_end_a, old_size_a
+                chain_end[end_b], chain_size[end_b] = old_end_b, old_size_b
+                a, b = ends[x]
+                forced[a] -= 1
+                forced[b] -= 1
+            else:
+                a, b = ends[x]
+                if state[x] == DELETED:
+                    live[a] += 1
+                    live[b] += 1
+                else:  # the edge that closed the cycle
+                    forced[a] -= 1
+                    forced[b] -= 1
+            state[x] = UNDECIDED
+        self.conflict = None
+        self.queue.clear()
 
     def _apply_rules(self, v: int) -> None:
         incident = self.graph.incident[v]
@@ -279,7 +330,7 @@ class EdgeAssignment:
 
     def run(self, rng: random.Random | None = None) -> Contradiction | None:
         """Apply rules until fixpoint or contradiction."""
-        q = self.queue
+        q, forced, live = self.queue, self.forced, self.live
         while q and self.conflict is None:
             if rng is None:
                 v = q.popleft()
@@ -288,7 +339,9 @@ class EdgeAssignment:
                 q.rotate(-k)
                 v = q.popleft()
             self.steps += 1
-            self._apply_rules(v)
+            f, n_live = forced[v], live[v]
+            if n_live > f and (f == 2 or n_live == 2):  # a rule settles an undecided edge
+                self._apply_rules(v)
         if self.conflict is not None:
             q.clear()
         return self.conflict
@@ -352,21 +405,26 @@ class HamVerdict:
 
 def _branch_edge(asg: EdgeAssignment) -> int:
     """Undecided edge at a minimum-live vertex; ties by vertex index, then
-    by the neighbour's index."""
-    best_v = -1
-    best_live = None
-    ends, incident = asg.graph.ends, asg.graph.incident
-    for v in range(asg.graph.n_vertices):
-        if asg.live[v] > asg.forced[v]:  # has an undecided incident edge
-            if best_live is None or asg.live[v] < best_live:
-                best_live = asg.live[v]
-                best_v = v
+    by the neighbour's index.
+
+    Called at a propagation fixpoint without conflict.  There saturation and
+    two-live leave ``live[v] == 2`` exactly where ``forced[v] == 2``, so a
+    vertex has an undecided edge exactly when ``live[v] >= 3``, and the
+    branch vertex is the first index of the smallest such count: a scan in
+    C, with no per-vertex structure to keep up or undo.
+    """
+    live = asg.live
+    try:
+        v = live.index(3)
+    except ValueError:  # the smallest count of three or more is larger
+        v = live.index(min(filter((3).__le__, live)))
+    ends, state = asg.graph.ends, asg.state
     best_eid = -1
     best_other = None
-    for eid in incident[best_v]:
-        if asg.state[eid] == UNDECIDED:
+    for eid in asg.graph.incident[v]:
+        if state[eid] == UNDECIDED:
             a, b = ends[eid]
-            other = b if a == best_v else a
+            other = b if a == v else a
             if best_other is None or other < best_other:
                 best_other = other
                 best_eid = eid
@@ -384,44 +442,53 @@ def decide(
     before deleted, with propagation closing each node.  Exhausting the
     tree proves non-Hamiltonicity; ``Inconclusive`` only on budget
     exhaustion.
+
+    The search works on one assignment (a copy of ``seed``, which is left
+    as it was) and logs every change to its trail.  Each open deleted
+    branch is a stack entry of trail mark, undecided count, edge and depth;
+    taking it undoes the trail to the mark and deletes the edge.  Search
+    memory is O(V + E + depth).
     """
     budget = budget or SearchBudget()
     if graph.n_vertices < 3 or not is_connected(graph) or min(map(len, graph.incident)) < 2:
         return HamVerdict(NON_HAMILTONIAN, nodes=0, max_depth=0)
     if seed is not None and seed.graph is not graph:
         raise ValueError("seed assignment was built for a different graph")
-    root = seed.copy() if seed is not None else EdgeAssignment.for_graph(graph)
-    root.prime()
+    asg = seed.copy() if seed is not None else EdgeAssignment.for_graph(graph)
+    asg.prime()
+    trail = asg.trail = []
     t0 = time.monotonic()
     nodes = 0
     max_depth = 0
-    steps = 0
-    stack: list[tuple[EdgeAssignment, int]] = [(root, 0)]
-    while stack:
+    depth = 0
+    stack: list[tuple[int, int, int, int]] = []
+    enter = None  # (_force or _delete, edge id) that opens the next node
+    while True:
         if nodes >= budget.max_nodes:
-            return HamVerdict(INCONCLUSIVE, nodes=nodes, max_depth=max_depth, steps=steps, reason="node-budget")
+            return HamVerdict(INCONCLUSIVE, nodes=nodes, max_depth=max_depth, steps=asg.steps, reason="node-budget")
         if time.monotonic() - t0 > budget.max_seconds:
-            return HamVerdict(INCONCLUSIVE, nodes=nodes, max_depth=max_depth, steps=steps, reason="time-budget")
-        asg, depth = stack.pop()
+            return HamVerdict(INCONCLUSIVE, nodes=nodes, max_depth=max_depth, steps=asg.steps, reason="time-budget")
+        if enter is not None:
+            act, eid = enter
+            act(eid)
         nodes += 1
         max_depth = max(max_depth, depth)
-        conflict = asg.run()
-        steps += asg.steps
-        asg.steps = 0
-        if conflict is not None:
+        if asg.run() is None:
+            if asg.is_complete():
+                cycle = asg.extract_cycle()
+                if not is_hamiltonian_cycle(graph, cycle):
+                    raise AssertionError("engine produced an invalid cycle witness")
+                return HamVerdict(HAMILTONIAN, cycle=cycle, nodes=nodes, max_depth=max_depth, steps=asg.steps)
+            eid = _branch_edge(asg)
+            depth += 1
+            stack.append((len(trail), asg.n_undecided, eid, depth))
+            enter = (asg._force, eid)
             continue
-        if asg.is_complete():
-            cycle = asg.extract_cycle()
-            if not is_hamiltonian_cycle(graph, cycle):
-                raise AssertionError("engine produced an invalid cycle witness")
-            return HamVerdict(HAMILTONIAN, cycle=cycle, nodes=nodes, max_depth=max_depth, steps=steps)
-        eid = _branch_edge(asg)
-        deleted_branch = asg.copy()
-        deleted_branch._delete(eid)
-        asg._force(eid)
-        stack.append((deleted_branch, depth + 1))
-        stack.append((asg, depth + 1))
-    return HamVerdict(NON_HAMILTONIAN, nodes=nodes, max_depth=max_depth, steps=steps)
+        if not stack:
+            return HamVerdict(NON_HAMILTONIAN, nodes=nodes, max_depth=max_depth, steps=asg.steps)
+        mark, asg.n_undecided, eid, depth = stack.pop()
+        asg.undo(mark)
+        enter = (asg._delete, eid)
 
 
 # -- counting refutation ---------------------------------------------------

@@ -46,25 +46,31 @@ def read_edge_list(text: str) -> Graph:
     return g
 
 
+def _dot_id(text: str) -> str:
+    """``text`` as a DOT quoted string, with backslashes and quotes escaped
+    so that no label can end the string early."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(graph: Graph, *, group_clusters: bool = False, name: str = "g") -> str:
     """DOT text; with ``group_clusters`` vertices sharing the 'g:' label
     prefix are grouped into DOT subgraphs (one per OTIS cluster)."""
-    out = [f'graph "{name}" {{']
+    out = [f"graph {_dot_id(name)} {{"]
     if group_clusters and all(":" in v for v in graph.vertices()):
         groups: dict[str, list[str]] = {}
         for v in graph.vertices():
             groups.setdefault(v.split(":", 1)[0], []).append(v)
         for gname, members in groups.items():
-            out.append(f'  subgraph "cluster_{gname}" {{')
-            out.append(f'    label="{gname}";')
+            out.append(f"  subgraph {_dot_id('cluster_' + gname)} {{")
+            out.append(f"    label={_dot_id(gname)};")
             for v in members:
-                out.append(f'    "{v}";')
+                out.append(f"    {_dot_id(v)};")
             out.append("  }")
     else:
         for v in graph.vertices():
-            out.append(f'  "{v}";')
+            out.append(f"  {_dot_id(v)};")
     for u, v in graph.edges():
-        out.append(f'  "{u}" -- "{v}";')
+        out.append(f"  {_dot_id(u)} -- {_dot_id(v)};")
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 from otisham.cli import sweep_pairs
-from otisham.constructive import BuildResult, build_ham_cycle
+from otisham.constructive import BuildResult, build_ham_cycle, key_edges
 from otisham.engine import Contradiction, EdgeAssignment, propagate
 from otisham.graph import Graph
-from otisham.topology import BowtieParams
+from otisham.topology import BowtieParams, gen_bowtie, otis, otis_label
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")
@@ -28,14 +29,33 @@ def sweep_parameter_pairs(max_base: int = 21) -> list[tuple[int, int]]:
 
 
 @pytest.fixture(scope="session")
-def sweep_builds() -> dict[tuple[int, int], BuildResult]:
+def sweep_build_seconds() -> dict[tuple[int, int], float]:
+    """Wall time of each build in ``sweep_builds``, filled in by it."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def sweep_builds(sweep_build_seconds) -> dict[tuple[int, int], BuildResult]:
     """Every supported sweep build, verified, computed once per session."""
     builds = {}
     for m, n in sweep_parameter_pairs():
+        t0 = time.perf_counter()
         result = build_ham_cycle(m, n)
+        sweep_build_seconds[(m, n)] = time.perf_counter() - t0
         assert isinstance(result, BuildResult), f"({m},{n}): {result}"
         builds[(m, n)] = result
     return builds
+
+
+def table_seed(m: int, n: int) -> tuple[Graph, EdgeAssignment]:
+    """OTIS(BF(m,n)) and the fixpoint of its key-edge table deletions, the
+    seed that ``build_ham_cycle`` hands to ``decide``."""
+    graph = otis(gen_bowtie(m, n))
+    asg = EdgeAssignment.for_graph(graph)
+    for ke in key_edges(m, n):
+        asg.seed_delete(otis_label(str(ke.cluster), str(ke.a)), otis_label(str(ke.cluster), str(ke.b)))
+    assert isinstance(propagate(asg), EdgeAssignment), (m, n)
+    return graph, asg
 
 
 def staged_propagation(graph, stages):

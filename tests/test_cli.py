@@ -136,6 +136,14 @@ def test_export_dot(tmp_path):
     assert "subgraph" in dot
 
 
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path):
+    el = tmp_path / "q.el"
+    el.write_text('V 3\na"b c\nc d\\\n')
+    dot = run("export", "--in", str(el)).stdout
+    assert '  "a\\"b" -- "c";' in dot.splitlines()
+    assert '  "c" -- "d\\\\";' in dot.splitlines()
+
+
 def test_reproduce_matches_published_counts():
     payload = json.loads(run("reproduce", "--json").stdout)
     assert payload["ok"] is True

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,7 @@ from otisham.engine import (
 from otisham.graph import Graph, is_hamiltonian_cycle
 from otisham.topology import gen_bowtie, gen_complete, gen_cycle, gen_path, otis
 
-from conftest import MAIN_LINE, random_graph, staged_propagation
+from conftest import MAIN_LINE, random_graph, staged_propagation, table_seed
 from ham_oracle import oracle_all_cycles, oracle_is_hamiltonian
 
 
@@ -106,6 +107,22 @@ def test_decide_rejects_a_seed_built_for_another_graph():
     seed.seed_force("1", "3")
     with pytest.raises(ValueError):
         decide(g2, seed=seed)
+
+
+def test_seeded_search_memory_is_small_and_leaves_the_seed_alone():
+    # the table seed of OTIS(BF(31,30)) leaves a search 1,271 levels deep;
+    # a state copy per level took 148 MB here
+    graph, seed = table_seed(31, 30)
+    before = (seed.snapshot(), seed.live[:], seed.forced[:], seed.chain_end[:], seed.n_undecided)
+    tracemalloc.start()
+    try:
+        verdict = decide(graph, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.is_hamiltonian and verdict.max_depth == 1271
+    assert peak < 5 * 2**20, peak
+    assert (seed.snapshot(), seed.live, seed.forced, seed.chain_end, seed.n_undecided) == before
 
 
 def test_decide_budget_exhaustion_is_inconclusive():
