@@ -201,16 +201,18 @@ def cmd_ham_build(args) -> int:
         return EXIT_USAGE
     # even-even pairs have no table; they get the same unsupported-class
     # report below that a build gives
-    if args.emit_key_edges and classify(args.m, args.n) is not ParamClass.EVEN_EVEN:
+    cls = classify(args.m, args.n)
+    if args.emit_key_edges and cls is not ParamClass.EVEN_EVEN:
         try:
-            edges = key_edges(args.m, args.n)
+            # a small-figure build runs the decider with no table edges seeded
+            edges = [] if cls is ParamClass.SMALL_FIGURE else key_edges(args.m, args.n)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MISMATCH
         payload = {
             "m": args.m,
             "n": args.n,
-            "class": classify(args.m, args.n).value,
+            "class": cls.value,
             "key_edges": [
                 {"cluster": ke.cluster, "edge": [ke.a, ke.b], "tag": ke.tag} for ke in edges
             ],

@@ -190,6 +190,15 @@ def test_emit_key_edges_even_even_reports_unsupported():
     assert json.loads(emit.stdout)["failure"] == "unsupported-class"
 
 
+@pytest.mark.parametrize("m,n", [(3, 3), (5, 7)])
+def test_emit_key_edges_small_figure_seeds_no_table_edges(m, n):
+    # ham-build builds both through the decider, with nothing seeded
+    assert run("ham-build", "--m", str(m), "--n", str(n), "--json").returncode == 0
+    emit = run("ham-build", "--m", str(m), "--n", str(n), "--emit-key-edges", "--json")
+    payload = json.loads(emit.stdout)
+    assert payload["class"] == "small-figure" and payload["key_edges"] == []
+
+
 C4_SEED_CERT = {"graph_hash": "x", "order": ["1", "2", "3", "4"], "verified": True}
 
 # (argv with {graph}/{file} placeholders, text of {file}, environment overrides)
