@@ -56,7 +56,7 @@ class EdgeAssignment:
     cached per-vertex counts; the graph must not change under it.
 
     Transitions are monotone: an edge moves undecided -> forced or
-    undecided -> deleted at most once, except that ``undo`` takes back the
+    undecided -> deleted at most once, except that ``_undo`` takes back the
     changes logged since a trail mark.  ``steps`` counts elementary engine
     operations (state transitions plus worklist pops); undo does not lower
     it.  ``trail`` is None outside a search, so plain propagation logs
@@ -283,7 +283,7 @@ class EdgeAssignment:
                 return
             self.queue.append(v)
 
-    def undo(self, mark: int) -> None:
+    def _undo(self, mark: int) -> None:
         """Take back every trail entry past ``mark``, newest first, and drop
         any conflict and pending work.  ``n_undecided`` is the caller's to
         restore: it is saved with the mark."""
@@ -462,7 +462,9 @@ def decide(
     max_depth = 0
     depth = 0
     stack: list[tuple[int, int, int, int]] = []
-    enter = None  # (_force or _delete, edge id) that opens the next node
+    # (_force or _delete, edge id) that opens the next node; applied after
+    # the budget checks, so a node the budget cuts off adds no steps
+    enter = None
     while True:
         if nodes >= budget.max_nodes:
             return HamVerdict(INCONCLUSIVE, nodes=nodes, max_depth=max_depth, steps=asg.steps, reason="node-budget")
@@ -487,7 +489,7 @@ def decide(
         if not stack:
             return HamVerdict(NON_HAMILTONIAN, nodes=nodes, max_depth=max_depth, steps=asg.steps)
         mark, asg.n_undecided, eid, depth = stack.pop()
-        asg.undo(mark)
+        asg._undo(mark)
         enter = (asg._delete, eid)
 
 
