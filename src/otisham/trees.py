@@ -30,6 +30,8 @@ def build_ists(cycle, root: str) -> TreePair:
     """Spanning tree pair: drop (root, successor) for the first tree and
     (predecessor, root) for the second."""
     order = list(cycle.order if isinstance(cycle, HamCycle) else cycle)
+    if len(order) < 3:
+        raise GraphError(f"a cycle needs at least 3 vertices, got {len(order)}")
     if root not in order:
         raise GraphError(f"root {root!r} does not appear in the cycle")
     k = order.index(root)
@@ -49,19 +51,6 @@ def build_ists(cycle, root: str) -> TreePair:
     )
 
 
-def _root_path(parent: dict[str, str], root: str, v: str) -> list[str] | None:
-    """Vertices from v up to the root, or None on a broken parent chain."""
-    path = [v]
-    seen = {v}
-    while path[-1] != root:
-        nxt = parent.get(path[-1])
-        if nxt is None or nxt in seen:
-            return None
-        path.append(nxt)
-        seen.add(nxt)
-    return path
-
-
 @dataclass(frozen=True)
 class IndependenceReport:
     vertex_disjoint: bool
@@ -69,60 +58,129 @@ class IndependenceReport:
     first_violation: str | None = None
 
 
+
+def _preorder(par: list[int], root: int | None) -> list[int]:
+    """Vertex indices reachable from ``root`` along child links, in a
+    preorder, so that every subtree is one contiguous run.  A vertex whose
+    parent chain breaks or loops before the root is left out; ``root``'s
+    own parent, if it has one, is ignored."""
+    children: list[list[int]] = [[] for _ in par]
+    for x, p in enumerate(par):
+        if p >= 0 and x != root:
+            children[p].append(x)
+    order = []
+    stack = [] if root is None else [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(children[u])
+    return order
+
+
+def _interior(par: list[int], root: int, v: int) -> set[int]:
+    """The vertices strictly between v and the root on v's root path."""
+    out = set()
+    x = par[v]
+    while x != root:
+        out.add(x)
+        x = par[x]
+    return out
+
+
 def independence_report(pair: TreePair, graph: Graph) -> IndependenceReport:
     """Check that both root paths of every vertex are internally
     vertex-disjoint (and, reported separately, edge-disjoint), and that
-    every tree edge is an edge of ``graph``."""
+    every tree edge is an edge of ``graph``.
+
+    Runs in O(V log V).  Give each tree Euler-tour intervals ``[tin, tout)``
+    from a preorder.  v's two root paths share only their ends iff exactly
+    two vertices, the root and v, are ancestors-or-self of v in both trees:
+    w is one iff the point ``(tin1(v), tin2(v))`` lies in the rectangle
+    ``[tin1(w), tout1(w)) x [tin2(w), tout2(w))``.  An edge lies on both
+    paths iff v is under its child end in each tree, one more rectangle per
+    edge the trees share.  One depth-first walk of the first tree sweeps
+    along x: a rectangle is open while its vertex is on the walk's stack,
+    and a Fenwick tree over ``tin2`` (range add, point query) counts the
+    open rectangles over each point."""
+    index, labels = graph.index, graph.labels
+    n = graph.n_vertices
+    pars = []
     for parent in (pair.parent1, pair.parent2):
-        for child, par in parent.items():
-            if not graph.has_edge(child, par):
-                return IndependenceReport(False, False, f"tree edge {child}-{par} not in graph")
-    vertex_ok = True
-    edge_ok = True
+        par = [-1] * n
+        for child, p in parent.items():
+            if not graph.has_edge(child, p):
+                return IndependenceReport(False, False, f"tree edge {child}-{p} not in graph")
+            par[index[child]] = index[p]
+        pars.append(par)
+    par1, par2 = pars
+    r = index.get(pair.root)
+    order1, order2 = _preorder(par1, r), _preorder(par2, r)
+    if len(order1) < n or len(order2) < n:
+        reached = set(order1) & set(order2)
+        v = next(v for v in range(n) if v not in reached)
+        return IndependenceReport(False, False, f"no root path for {labels[v]}")
+
+    tin2 = [0] * n
+    for t, u in enumerate(order2):
+        tin2[u] = t
+    tout2 = [t + 1 for t in tin2]  # subtree sizes added up from the leaves
+    for u in reversed(order2):
+        if u != r:
+            tout2[par2[u]] += tout2[u] - tin2[u]
+    # shared[x]: the T2 child end of the edge from x to its T1 parent, or -1
+    # where T2 does not have that edge
+    child2 = {(y, p) if y < p else (p, y): y for y, p in enumerate(par2) if y != r}
+    shared = [-1] * n
+    for x, p in enumerate(par1):
+        if x != r:
+            shared[x] = child2.get((x, p) if x < p else (p, x), -1)
+
+    # a vertex count is at most n, so shared edges are counted in units of w_edge
+    w_edge = n + 1
+    fen = [0] * (n + 1)
+
+    def span(lo: int, hi: int, w: int) -> None:
+        """Add w at every position in [lo, hi)."""
+        i = lo + 1
+        while i <= n:
+            fen[i] += w
+            i += i & -i
+        i = hi + 1
+        while i <= n:
+            fen[i] -= w
+            i += i & -i
+
+    def toggle(u: int, sign: int) -> None:
+        """Open (sign 1) or close (sign -1) the rectangles of vertex u."""
+        span(tin2[u], tout2[u], sign)
+        c = shared[u]
+        if c >= 0:
+            span(tin2[c], tout2[c], sign * w_edge)
+
+    count = [0] * n
+    stack: list[int] = []
+    for v in order1:
+        if v != r:
+            while stack[-1] != par1[v]:
+                toggle(stack.pop(), -1)
+        toggle(v, 1)
+        stack.append(v)
+        i, s = tin2[v] + 1, 0
+        while i:
+            s += fen[i]
+            i &= i - 1
+        count[v] = s
+
+    vertex_ok = edge_ok = True
     violation = None
-    for v in graph.vertices():
-        if v == pair.root:
+    for v in range(n):
+        if v == r or count[v] == 2:
             continue
-        p1 = _root_path(pair.parent1, pair.root, v)
-        p2 = _root_path(pair.parent2, pair.root, v)
-        if p1 is None or p2 is None:
-            return IndependenceReport(False, False, f"no root path for {v}")
-        interior1 = set(p1[1:-1])
-        interior2 = set(p2[1:-1])
-        if interior1 & interior2:
-            vertex_ok = False
-            violation = violation or f"paths to {v} share {sorted(interior1 & interior2)[0]}"
-        edges1 = {tuple(sorted((p1[j], p1[j + 1]))) for j in range(len(p1) - 1)}
-        edges2 = {tuple(sorted((p2[j], p2[j + 1]))) for j in range(len(p2) - 1)}
-        if edges1 & edges2:
+        if count[v] >= w_edge:
             edge_ok = False
+        if count[v] % w_edge != 2:
+            vertex_ok = False
+            if violation is None:
+                common = _interior(par1, r, v) & _interior(par2, r, v)
+                violation = f"paths to {labels[v]} share {min(labels[x] for x in common)}"
     return IndependenceReport(vertex_ok, edge_ok, violation)
-
-
-def tree_edges(parent: dict[str, str]) -> set[tuple[str, str]]:
-    return {tuple(sorted((child, par))) for child, par in parent.items()}
-
-
-def is_spanning_tree(parent: dict[str, str], root: str, graph: Graph) -> bool:
-    """Union-find acyclicity plus the |V|-1 edge count and full coverage."""
-    verts = graph.vertices()
-    if set(parent) | {root} != set(verts) or root in parent:
-        return False
-    if len(parent) != len(verts) - 1:
-        return False
-    lead: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while lead.get(x, x) != x:
-            lead[x] = lead.get(lead[x], lead[x])
-            x = lead[x]
-        return x
-
-    for child, par in parent.items():
-        if not graph.has_edge(child, par):
-            return False
-        ra, rb = find(child), find(par)
-        if ra == rb:
-            return False
-        lead[ra] = rb
-    return True

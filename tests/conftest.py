@@ -47,6 +47,13 @@ def sweep_builds(sweep_build_seconds) -> dict[tuple[int, int], BuildResult]:
     return builds
 
 
+def sweep_roots(m: int, n: int, graph: Graph) -> list[str]:
+    """The three IST roots ``sweep`` checks on OTIS(BF(m,n)): the first
+    vertex, <c,c> at the cut vertex c and the last vertex."""
+    c = str(BowtieParams.normalized(m, n).cut_vertex)
+    return [graph.vertices()[0], otis_label(c, c), graph.vertices()[-1]]
+
+
 def table_seed(m: int, n: int) -> tuple[Graph, EdgeAssignment]:
     """OTIS(BF(m,n)) and the fixpoint of its key-edge table deletions, the
     seed that ``build_ham_cycle`` hands to ``decide``."""

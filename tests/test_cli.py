@@ -216,6 +216,8 @@ BAD_INPUTS = {
     "verify certificate not JSON": (["verify", "--in", "{graph}", "--cycle", "{file}"], "not json", {}),
     "certificate order is a string": (
         ["ist", "--cycle", "{file}", "--root", "a"], json.dumps(C4_SEED_CERT | {"order": "abc"}), {}),
+    "certificate of one vertex": (
+        ["ist", "--cycle", "{file}", "--root", "a"], json.dumps(C4_SEED_CERT | {"order": ["a"]}), {}),
     "threads not a number": (["sweep", "--max-base", "5"], None, {"OTISHAM_THREADS": "abc"}),
     "threads zero": (["sweep", "--max-base", "5"], None, {"OTISHAM_THREADS": "0"}),
     "graph path is a directory": (["decide", "--in", "{dir}"], None, {}),

@@ -6,13 +6,9 @@ from hypothesis import given, strategies as st
 from otisham.constructive import BuildResult, build_ham_cycle
 from otisham.graph import Graph, GraphError, HamCycle
 from otisham.topology import gen_bowtie, gen_cycle, otis
-from otisham.trees import (
-    TreePair,
-    build_ists,
-    independence_report,
-    is_spanning_tree,
-    tree_edges,
-)
+from otisham.trees import TreePair, build_ists, independence_report
+
+from ist_reference import is_spanning_tree, tree_edges
 
 
 def test_c5_tree_pair_matches_arc_structure():
