@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 from .graph import Graph, GraphError, HamCycle, graph_hash, is_hamiltonian_cycle
 
@@ -52,14 +53,33 @@ def _dot_id(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _otis_clusters(labels: list[str]) -> dict[str, list[str]] | None:
+    """Labels grouped by cluster g when they are exactly the ``g:u`` labels
+    over one set of N base labels, N^2 of them, each split at its middle
+    ':' (a base label may hold ':' itself); None for any other graph."""
+    size = math.isqrt(len(labels))
+    if size * size != len(labels):
+        return None
+    groups: dict[str, list[str]] = {}
+    processors = set()
+    for v in labels:
+        parts = v.split(":")
+        if len(parts) % 2:
+            return None
+        half = len(parts) // 2
+        groups.setdefault(":".join(parts[:half]), []).append(v)
+        processors.add(":".join(parts[half:]))
+    if len(groups) != size or processors != set(groups):
+        return None
+    return groups
+
+
 def to_dot(graph: Graph, *, group_clusters: bool = False, name: str = "g") -> str:
-    """DOT text; with ``group_clusters`` vertices sharing the 'g:' label
-    prefix are grouped into DOT subgraphs (one per OTIS cluster)."""
+    """DOT text; with ``group_clusters`` the vertices of an OTIS network
+    are grouped into DOT subgraphs, one per cluster."""
     out = [f"graph {_dot_id(name)} {{"]
-    if group_clusters and all(":" in v for v in graph.vertices()):
-        groups: dict[str, list[str]] = {}
-        for v in graph.vertices():
-            groups.setdefault(v.split(":", 1)[0], []).append(v)
+    groups = _otis_clusters(graph.vertices()) if group_clusters else None
+    if groups is not None:
         for gname, members in groups.items():
             out.append(f"  subgraph {_dot_id('cluster_' + gname)} {{")
             out.append(f"    label={_dot_id(gname)};")

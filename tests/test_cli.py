@@ -136,6 +136,24 @@ def test_export_dot(tmp_path):
     assert "subgraph" in dot
 
 
+def test_export_dot_clusters_split_labels_at_the_middle_colon(tmp_path):
+    # WBF(3) labels are 'level:bits', so OTIS(WBF(3)) labels hold three ':'
+    base = tmp_path / "wbf3.el"
+    base.write_text(run("gen", "butterfly", "--dim", "3").stdout)
+    net = tmp_path / "otis.el"
+    net.write_text(run("otis", "--in", str(base)).stdout)
+    clusters: dict[str, list[str]] = {}
+    for line in run("export", "--in", str(net)).stdout.splitlines():
+        if line.startswith('  subgraph "cluster_'):
+            members = clusters.setdefault(line.split('"')[1].removeprefix("cluster_"), [])
+        elif line.startswith('    "'):
+            members.append(line.split('"')[1])
+    assert len(clusters) == 24
+    for gname, members in clusters.items():
+        assert len(members) == 24 and all(v.startswith(gname + ":") for v in members)
+    assert "subgraph" not in run("gen", "butterfly", "--dim", "3", "--dot").stdout
+
+
 def test_export_dot_escapes_quotes_and_backslashes(tmp_path):
     el = tmp_path / "q.el"
     el.write_text('V 3\na"b c\nc d\\\n')
