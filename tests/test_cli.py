@@ -152,6 +152,10 @@ def test_export_dot_clusters_split_labels_at_the_middle_colon(tmp_path):
     for gname, members in clusters.items():
         assert len(members) == 24 and all(v.startswith(gname + ":") for v in members)
     assert "subgraph" not in run("gen", "butterfly", "--dim", "3", "--dot").stdout
+    # N^2 labels g:u, but the processors are not the clusters
+    square = tmp_path / "square.el"
+    square.write_text("V 4\na:x a:y\nb:x b:y\n")
+    assert "subgraph" not in run("export", "--in", str(square)).stdout
 
 
 def test_export_dot_escapes_quotes_and_backslashes(tmp_path):
