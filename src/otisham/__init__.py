@@ -3,12 +3,9 @@
 from .graph import (
     Graph,
     GraphError,
-    GraphMetrics,
     HamCycle,
     graph_hash,
     is_hamiltonian_cycle,
-    max_edge_disjoint_ham_bound,
-    metrics,
 )
 from .topology import (
     BowtieParams,

@@ -103,7 +103,7 @@ def _emit(args, payload: dict, wall_ms: float) -> None:
 
 
 def _write_graph(graph: Graph, out: str | None, dot: bool) -> None:
-    text = to_dot(graph, group_clusters=True) if dot else write_edge_list(graph)
+    text = to_dot(graph) if dot else write_edge_list(graph)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -204,8 +204,7 @@ def cmd_ham_build(args) -> int:
     cls = classify(args.m, args.n)
     if args.emit_key_edges and cls is not ParamClass.EVEN_EVEN:
         try:
-            # a small-figure build runs the decider with no table edges seeded
-            edges = [] if cls is ParamClass.SMALL_FIGURE else key_edges(args.m, args.n)
+            edges = key_edges(args.m, args.n)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MISMATCH

@@ -7,6 +7,8 @@ propagating pins almost everything; transpose edges whose endpoints both
 keep three live edges are undecidable by local rules, so the seeded
 complete decider settles that residue (a few shallow branches -- measured
 cost stays linear in the vertex count).  The forced set is the cycle.
+The small figures (3,3) and (5,7) take the same path with an empty table,
+so the decider does all of their work.
 
 Label arithmetic inside table rows wraps within the cycle that contains
 the label: positions 1..c wrap on the left cycle (0 meaning c), positions
@@ -29,7 +31,7 @@ class ParamClass(enum.Enum):
     ODD_ODD_GENERAL = "odd-odd-general"  # odd cycles, 5 <= m < n
     ODD_EVEN_3 = "odd-even-3"            # left triangle, even right cycle
     ODD_EVEN_GENERAL = "odd-even-general"  # odd left >= 5, even right
-    SMALL_FIGURE = "small-figure"        # (3,3) and (5,7): solver fallback
+    SMALL_FIGURE = "small-figure"        # (3,3) and (5,7): empty table
     EVEN_EVEN = "even-even"              # unsupported (refuted instances)
 
 
@@ -327,7 +329,12 @@ def _rows_odd_even_general(r: _Rows) -> None:
         r.flank(x, x, f"cluster {x}: flank")
 
 
+def _rows_small_figure(r: _Rows) -> None:
+    """No rows: the decider builds (3,3) and (5,7) from the bare fixpoint."""
+
+
 _TABLES = {
+    ParamClass.SMALL_FIGURE: _rows_small_figure,
     ParamClass.ODD_ODD_EQUAL: _rows_odd_odd_equal,
     ParamClass.ODD_ODD_3N: _rows_odd_odd_3n,
     ParamClass.ODD_EVEN_3: _rows_odd_even_3,
@@ -382,9 +389,10 @@ UNSUPPORTED_CLASS = "unsupported-class"
 def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
     """Construct and verify a Hamiltonian cycle of OTIS(bowtie(m, n)).
 
-    Table classes seed every key edge deleted and propagate; the small
-    figure cases fall back to the complete decider.  Returns a BuildResult
-    or a FailureReport; never an unverified cycle.
+    Seeds every key edge of the class's table deleted, propagates, and
+    hands any undecided residue to the seeded decider, which verifies the
+    cycle it returns.  Returns a BuildResult or a FailureReport; never an
+    unverified cycle.
     """
     p = BowtieParams.normalized(m, n)
     cls = classify(p.m, p.n)
@@ -400,11 +408,6 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
     def contradiction(detail: str, witness: Contradiction | None = None) -> FailureReport:
         return FailureReport("contradiction", cls, detail, witness)
 
-    if cls is ParamClass.SMALL_FIGURE:
-        verdict = decide(graph, budget=budget)
-        if not verdict.is_hamiltonian:
-            return contradiction(f"decider returned {verdict.status}")
-        return BuildResult(cycle=verdict.cycle, param_class=cls, steps=verdict.steps, graph=graph)
     asg = EdgeAssignment.for_graph(graph)
     for ke in key_edges(p.m, p.n):
         asg.seed_delete(otis_label(str(ke.cluster), str(ke.a)),
@@ -417,16 +420,17 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
     steps = asg.steps
     if asg.n_undecided == 0:
         cycle = asg.extract_cycle()
+        if not is_hamiltonian_cycle(graph, cycle):
+            raise AssertionError("constructed cycle failed verification")
     else:
         # The tables pin each cluster locally, but transpose edges whose
         # endpoints both keep three live edges stay open at the fixpoint.
         # The seeded decider settles them; propagation keeps the residual
-        # search shallow.
+        # search shallow.  With the small figures' empty table it does the
+        # whole search.
         verdict = decide(graph, seed=asg, budget=budget)
         if not verdict.is_hamiltonian:
             return contradiction(f"no completion of the table fixpoint: {verdict.status}")
         cycle = verdict.cycle
         steps += verdict.steps
-    if not is_hamiltonian_cycle(graph, cycle):
-        raise AssertionError("constructed cycle failed verification")
     return BuildResult(cycle=cycle, param_class=cls, steps=steps, graph=graph)

@@ -75,7 +75,6 @@ class EdgeAssignment:
         "queue",
         "primed",
         "steps",
-        "transitions",
         "trail",
     )
 
@@ -92,7 +91,6 @@ class EdgeAssignment:
         self.queue: deque[int] = deque()
         self.primed = False
         self.steps = 0
-        self.transitions = 0
         # while a search runs, one record per state transition: the edge id
         # of a deletion or of the forced edge that closes the cycle; for any
         # other forced edge, a tuple of its id and both chain ends it joins,
@@ -116,24 +114,8 @@ class EdgeAssignment:
         new.queue = deque(self.queue)
         new.primed = self.primed
         new.steps = 0
-        new.transitions = 0
         new.trail = None
         return new
-
-    # -- state inspection -------------------------------------------------
-
-    def edge_state(self, u: str, v: str) -> int:
-        return self.state[self.graph.edge_index(u, v)]
-
-    def _pairs(self, status: int) -> list[tuple[str, str]]:
-        lab = self.graph.labels
-        return [(lab[a], lab[b]) for eid, (a, b) in enumerate(self.graph.ends) if self.state[eid] == status]
-
-    def forced_pairs(self) -> list[tuple[str, str]]:
-        return self._pairs(FORCED)
-
-    def deleted_pairs(self) -> list[tuple[str, str]]:
-        return self._pairs(DELETED)
 
     def snapshot(self) -> tuple[bytes, bool]:
         return bytes(self.state), self.conflict is not None
@@ -213,7 +195,6 @@ class EdgeAssignment:
                 self._cycle_conflict(eid, a, size)
                 return
         self.state[eid] = FORCED
-        self.transitions += 1
         self.steps += 1
         self.n_undecided -= 1
         self.forced[a] += 1
@@ -271,7 +252,6 @@ class EdgeAssignment:
         trail = self.trail
         if trail is not None:
             trail.append(eid)
-        self.transitions += 1
         self.steps += 1
         self.n_undecided -= 1
         # both counts drop before either is checked, so undo is exact
@@ -509,6 +489,11 @@ class CountingCertificate:
     total_bound: int
 
 
+# the exact independent-set search is exponential; past this many degree-3
+# candidates the refuter gives up and reports inconclusive
+MIS_CANDIDATE_CAP = 40
+
+
 def _max_independent_set(adj: dict[str, set[str]]) -> set[str]:
     """Exact maximum independent set by branch and bound.
 
@@ -532,9 +517,7 @@ def _max_independent_set(adj: dict[str, set[str]]) -> set[str]:
     return solve(set(adj))
 
 
-def counting_refutation(
-    graph: Graph, *, mis_candidate_cap: int = 40
-) -> CountingCertificate | None:
+def counting_refutation(graph: Graph) -> CountingCertificate | None:
     """Refute Hamiltonicity by counting edges no cycle can use.
 
     A cycle uses exactly 2 edges per vertex, so |E| - |V| edges are spare.
@@ -542,7 +525,7 @@ def counting_refutation(
     edges; degree-3 vertices with no high-degree neighbour add one more
     each when pairwise independent.  If the pinned total exceeds the spare
     budget, no Hamiltonian cycle exists.  Returns None when inconclusive
-    (including when the candidate set exceeds ``mis_candidate_cap``).
+    (including when the candidate set exceeds ``MIS_CANDIDATE_CAP``).
     """
     budget = graph.n_edges - graph.n_vertices
     if budget < 0:
@@ -559,7 +542,7 @@ def counting_refutation(
         if graph.degree(v) == 3
         and not any(w in high_or_excluded for w in graph.neighbors(v))
     ]
-    if len(candidates) > mis_candidate_cap:
+    if len(candidates) > MIS_CANDIDATE_CAP:
         return None
     cand_set = set(candidates)
     adj = {v: {w for w in graph.neighbors(v) if w in cand_set} for v in candidates}

@@ -28,8 +28,9 @@ def read_edge_list(text: str) -> Graph:
     if not lines or not lines[0].startswith("V "):
         raise GraphError("edge list must start with a 'V <count>' line")
     try:
-        count = int(lines[0].split()[1])
-    except (IndexError, ValueError):
+        _, count_text = lines[0].split()
+        count = int(count_text)
+    except ValueError:
         raise GraphError(f"bad vertex count line: {lines[0]!r}") from None
     g = Graph()
     for ln in lines[1:]:
@@ -74,11 +75,11 @@ def _otis_clusters(labels: list[str]) -> dict[str, list[str]] | None:
     return groups
 
 
-def to_dot(graph: Graph, *, group_clusters: bool = False, name: str = "g") -> str:
-    """DOT text; with ``group_clusters`` the vertices of an OTIS network
-    are grouped into DOT subgraphs, one per cluster."""
-    out = [f"graph {_dot_id(name)} {{"]
-    groups = _otis_clusters(graph.vertices()) if group_clusters else None
+def to_dot(graph: Graph) -> str:
+    """DOT text; the vertices of an OTIS network are grouped into DOT
+    subgraphs, one per cluster."""
+    out = ['graph "g" {']
+    groups = _otis_clusters(graph.vertices())
     if groups is not None:
         for gname, members in groups.items():
             out.append(f"  subgraph {_dot_id('cluster_' + gname)} {{")

@@ -33,8 +33,6 @@ class BowtieParams:
 
     @classmethod
     def normalized(cls, m: int, n: int) -> "BowtieParams":
-        if m < 3 or n < 3:
-            raise ValueError(f"cycle lengths must be >= 3, got ({m}, {n})")
         if m % 2 == n % 2:
             m, n = min(m, n), max(m, n)
         elif n % 2 == 1:  # odd side goes left
@@ -108,7 +106,7 @@ def otis(base: Graph) -> Graph:
     verts = base.vertices()
     size = len(verts)
     if size < 2:
-        raise ValueError("OTIS base needs at least 2 vertices")
+        raise GraphError("OTIS base needs at least 2 vertices")
     g = Graph()
     for cluster in verts:
         for processor in verts:

@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from otisham.cli import sweep_pairs
 from otisham.constructive import BuildResult, build_ham_cycle, key_edges
 from otisham.engine import Contradiction, EdgeAssignment, propagate
-from otisham.graph import Graph
+from otisham.graph import Graph, HamCycle, _eccentricity
 from otisham.topology import BowtieParams, gen_bowtie, otis, otis_label
 
 settings.register_profile("suite", deadline=None, max_examples=40)
@@ -93,6 +93,23 @@ MAIN_LINE = [
     ((("4:4", "4:9"),), ()),
     ((("9:2", "9:3"),), ()),
 ]
+
+
+def diameter(graph: Graph) -> int:
+    """Exact diameter of a connected graph, by a BFS from every vertex."""
+    n = graph.n_vertices
+    worst = 0
+    for v in range(n):
+        far, reached = _eccentricity(graph, v)
+        assert reached == n, "graph is disconnected"
+        worst = max(worst, far)
+    return worst
+
+
+def edge_set(cycle: HamCycle) -> set[tuple[str, str]]:
+    """The cycle's edges as label pairs, lower label first."""
+    order = cycle.order
+    return {(u, v) if u < v else (v, u) for u, v in zip(order, order[1:] + order[:1])}
 
 
 def random_graph(rng: random.Random, max_vertices: int = 10) -> Graph:

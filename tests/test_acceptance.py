@@ -16,7 +16,7 @@ from otisham.constructive import (
     classify,
 )
 from otisham.engine import Contradiction, SHORT_SUBCYCLE, VERTEX_UNDERFILLED, decide
-from otisham.graph import Graph, diameter, is_hamiltonian_cycle
+from otisham.graph import Graph, is_hamiltonian_cycle
 from otisham.topology import (
     BowtieParams,
     gen_bowtie,
@@ -30,6 +30,8 @@ from otisham.trees import build_ists, independence_report
 
 from conftest import (
     MAIN_LINE,
+    diameter,
+    edge_set,
     random_connected_graph,
     random_graph,
     staged_propagation,
@@ -288,7 +290,7 @@ def test_criterion_7_edge_disjoint_ceiling():
             if isinstance(result, FailureReport):
                 assert classify(p.m, p.n) is ParamClass.EVEN_EVEN
                 continue
-            used = result.cycle.edge_set()
+            used = edge_set(result.cycle)
             stripped = Graph()
             for v in result.graph.vertices():
                 stripped.add_vertex(v)

@@ -1,15 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CLI = [sys.executable, "-m", "otisham.cli"]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(*args, check=True):
+    # the package may not be installed: the child finds it in this checkout
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        CLI + list(args), capture_output=True, text=True, timeout=300
+        CLI + list(args), capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"{args}: rc={proc.returncode}\n{proc.stderr}")
@@ -243,6 +249,9 @@ BAD_INPUTS = {
     "threads not a number": (["sweep", "--max-base", "5"], None, {"OTISHAM_THREADS": "abc"}),
     "threads zero": (["sweep", "--max-base", "5"], None, {"OTISHAM_THREADS": "0"}),
     "graph path is a directory": (["decide", "--in", "{dir}"], None, {}),
+    "OTIS base of one vertex": (["otis", "--in", "{file}"], "V 1\na\n", {}),
+    "OTIS base of no vertex": (["otis", "--in", "{file}"], "V 0\n", {}),
+    "vertex count line with a trailing token": (["decide", "--in", "{file}"], "V 2 x\n1 2\n", {}),
 }
 
 

@@ -17,7 +17,7 @@ from otisham.engine import decide
 from otisham.graph import is_hamiltonian_cycle
 from otisham.topology import BowtieParams, gen_bowtie, otis
 
-from conftest import sweep_parameter_pairs
+from conftest import edge_set, sweep_parameter_pairs
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,8 +55,7 @@ def test_classify_is_total_and_consistent(m, n):
 
 
 def test_key_edges_reject_unsupported_classes():
-    with pytest.raises(ValueError):
-        key_edges(3, 3)
+    assert key_edges(3, 3) == []
     with pytest.raises(ValueError):
         key_edges(4, 6)
 
@@ -140,10 +139,37 @@ def test_construction_cost_examples():
     v35 = 7 * 7
     v39 = 11 * 11
     assert s39 / s35 <= 3 * (v39 / v35)
-    # the cost is a table build's: (3,3) has no table, (4,4) no build
-    with pytest.raises(ValueError):
-        key_edges(3, 3)
+    # the cost is a table build's: (3,3) has an empty table, (4,4) no build
+    assert key_edges(3, 3) == []
     assert isinstance(build_ham_cycle(4, 4), FailureReport)
+
+
+@pytest.mark.parametrize("m,n,searches", [(3, 4, 0), (7, 7, 1), (3, 3, 1)])
+def test_every_built_cycle_is_checked_exactly_once(m, n, searches, monkeypatch):
+    # (3,4) completes at the table fixpoint, (7,7) needs the seeded search
+    # and the small figure (3,3) searches from an empty table
+    import otisham.constructive
+    import otisham.engine
+
+    checks, decides = [], []
+
+    def counted_check(graph, order):
+        checks.append(order)
+        return is_hamiltonian_cycle(graph, order)
+
+    def counted_decide(*args, **kwargs):
+        decides.append(args)
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(otisham.constructive, "decide", counted_decide)
+    for module in (otisham.constructive, otisham.engine):
+        monkeypatch.setattr(module, "is_hamiltonian_cycle", counted_check)
+    assert isinstance(build_ham_cycle(m, n), BuildResult)
+    assert (len(checks), len(decides)) == (1, searches)
+    for module in (otisham.constructive, otisham.engine):
+        monkeypatch.setattr(module, "is_hamiltonian_cycle", lambda graph, order: False)
+    with pytest.raises(AssertionError):
+        build_ham_cycle(m, n)
 
 
 def test_construction_cost_is_deterministic():
@@ -157,7 +183,7 @@ def test_second_edge_disjoint_cycle_impossible_small():
     for m, n in [(3, 4), (3, 5)]:
         result = build_ham_cycle(m, n)
         assert isinstance(result, BuildResult)
-        used = result.cycle.edge_set()
+        used = edge_set(result.cycle)
         stripped = Graph()
         for v in result.graph.vertices():
             stripped.add_vertex(v)

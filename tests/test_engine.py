@@ -5,7 +5,9 @@ import pytest
 
 from otisham.engine import (
     Contradiction,
+    DELETED,
     EdgeAssignment,
+    FORCED,
     SearchBudget,
     SHORT_SUBCYCLE,
     VERTEX_OVERFILLED,
@@ -25,7 +27,7 @@ def test_propagate_path_forces_both_edges():
     asg = EdgeAssignment.for_graph(gen_path(3))
     res = propagate(asg)
     assert isinstance(res, EdgeAssignment)
-    assert sorted(res.forced_pairs()) == [("1", "2"), ("2", "3")]
+    assert list(res.state) == [FORCED, FORCED]  # edges (1,2) and (2,3)
 
 
 def test_propagate_is_monotone_and_bounded():
@@ -33,7 +35,7 @@ def test_propagate_is_monotone_and_bounded():
     asg = EdgeAssignment.for_graph(g)
     res = propagate(asg)
     assert isinstance(res, EdgeAssignment)
-    assert res.transitions <= g.n_edges
+    assert g.n_edges - res.n_undecided == sum(1 for s in res.state if s)
 
 
 def test_seeding_conflicting_directions_is_a_contradiction():
@@ -79,7 +81,7 @@ def test_chord_rule_preempts_explicit_subcycle():
     asg.seed_force("1", "2")
     asg.seed_force("2", "3")
     # the chord (1,3) is cut as soon as the chain 1-2-3 forms
-    assert asg.edge_state("1", "3") == 2  # deleted
+    assert asg.state[g.edge_index("1", "3")] == DELETED
     asg.seed_force("3", "1")
     assert asg.conflict is not None
 
@@ -165,8 +167,9 @@ def test_propagation_preserves_every_hamiltonian_extension():
             asg.seed_delete(u, v)
         res = propagate(asg)
         assert isinstance(res, EdgeAssignment), "seed compatible with a cycle cannot contradict"
-        assert {tuple(sorted(e)) for e in res.forced_pairs()} <= canonical
-        assert not ({tuple(sorted(e)) for e in res.deleted_pairs()} & canonical)
+        on_cycle = {g.edge_index(u, v) for u, v in canonical}
+        assert {e for e, s in enumerate(res.state) if s == FORCED} <= on_cycle
+        assert not ({e for e, s in enumerate(res.state) if s == DELETED} & on_cycle)
 
 
 def test_fixpoint_is_order_independent():

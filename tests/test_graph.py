@@ -9,15 +9,11 @@ from otisham.graph import (
     Graph,
     GraphError,
     cycle_violation,
-    diameter,
     graph_hash,
     is_hamiltonian_cycle,
-    max_edge_disjoint_ham_bound,
-    metrics,
-    vertex_connectivity,
 )
 from otisham.io import read_edge_list, to_dot, write_cycle_certificate, read_cycle_certificate, write_edge_list
-from otisham.topology import gen_bowtie, gen_complete, gen_cycle, gen_path, otis
+from otisham.topology import gen_bowtie, gen_cycle, gen_path, otis
 
 from conftest import random_graph
 
@@ -53,39 +49,6 @@ def test_path_middle_neighbors():
     assert sorted(p3.neighbors("2")) == ["1", "3"]
 
 
-def test_metrics_triangle():
-    m = metrics(gen_cycle(3))
-    assert (m.min_degree, m.max_degree, m.diameter) == (2, 2, 1.0)
-    assert m.vertex_connectivity == 2 and m.connectivity_exact
-
-
-def test_metrics_otis_c3_diameter():
-    assert metrics(otis(gen_cycle(3))).diameter == 3.0
-
-
-def test_metrics_otis_bowtie_44():
-    m = metrics(otis(gen_bowtie(4, 4)))
-    assert m.max_degree == 5 and m.min_degree == 2
-
-
-def test_disconnected_diameter_is_infinite():
-    g = Graph.from_edges([("1", "2"), ("3", "4")])
-    assert metrics(g).diameter == math.inf
-
-
-def test_connectivity_values():
-    assert vertex_connectivity(gen_complete(5)) == (4, True)
-    assert vertex_connectivity(gen_cycle(6)) == (2, True)
-    assert vertex_connectivity(gen_bowtie(3, 3)) == (1, True)
-    assert vertex_connectivity(gen_path(1)) == (0, True)
-
-
-def test_connectivity_cap_reports_bound():
-    kappa, exact = vertex_connectivity(gen_cycle(80))
-    assert not exact
-    assert kappa == 2  # no articulation point
-
-
 def test_is_hamiltonian_cycle_examples():
     c4 = gen_cycle(4)
     assert is_hamiltonian_cycle(c4, ["1", "2", "3", "4"])
@@ -103,12 +66,6 @@ def test_cycle_accepts_rotations_and_reversal(shift, flip):
     if flip:
         order = order[::-1]
     assert is_hamiltonian_cycle(c8, order)
-
-
-def test_edge_disjoint_bound_examples():
-    assert max_edge_disjoint_ham_bound(gen_complete(5)) == 2
-    assert max_edge_disjoint_ham_bound(gen_path(2)) == 0
-    assert max_edge_disjoint_ham_bound(otis(gen_bowtie(3, 5))) == 1
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -199,7 +156,7 @@ def test_edge_ids_store_lower_index_first_and_keep_orientation():
 
 
 def test_dot_export_groups_clusters():
-    dot = to_dot(otis(gen_cycle(3)), group_clusters=True)
+    dot = to_dot(otis(gen_cycle(3)))
     assert dot.count("subgraph") == 3
     assert '"1:2" -- "2:1"' in dot or '"2:1" -- "1:2"' in dot
 
