@@ -228,7 +228,7 @@ def cmd_ham_build(args) -> int:
             "detail": result.detail,
         }
         _emit(args, payload, (time.perf_counter() - t0) * 1e3)
-        return EXIT_OK if result.kind == UNSUPPORTED_CLASS else EXIT_MISMATCH
+        return {UNSUPPORTED_CLASS: EXIT_OK, INCONCLUSIVE: EXIT_INCONCLUSIVE}.get(result.kind, EXIT_MISMATCH)
     if args.dot:
         _write_graph(result.graph, args.out, True)
         return EXIT_OK

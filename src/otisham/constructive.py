@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .engine import Contradiction, EdgeAssignment, SearchBudget, decide, propagate
+from .engine import INCONCLUSIVE, Contradiction, EdgeAssignment, SearchBudget, decide, propagate
 from .graph import Graph, HamCycle, is_hamiltonian_cycle
 from .topology import BowtieParams, gen_bowtie, otis, otis_label
 
@@ -377,7 +377,7 @@ class BuildResult:
 
 @dataclass(frozen=True)
 class FailureReport:
-    kind: str  # "unsupported-class" | "contradiction"
+    kind: str  # "unsupported-class" | "contradiction" | "inconclusive" (budget cut)
     param_class: ParamClass
     detail: str
     contradiction: Contradiction | None = None
@@ -429,6 +429,8 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
         # search shallow.  With the small figures' empty table it does the
         # whole search.
         verdict = decide(graph, seed=asg, budget=budget)
+        if verdict.status == INCONCLUSIVE:
+            return FailureReport(INCONCLUSIVE, cls, f"search budget exhausted: {verdict.reason}")
         if not verdict.is_hamiltonian:
             return contradiction(f"no completion of the table fixpoint: {verdict.status}")
         cycle = verdict.cycle

@@ -76,6 +76,7 @@ class EdgeAssignment:
         "primed",
         "steps",
         "trail",
+        "lo",  # branch cursor: no vertex below it has exactly three live edges
     )
 
     def __init__(self, graph: Graph):
@@ -96,6 +97,7 @@ class EdgeAssignment:
         # other forced edge, a tuple of its id and both chain ends it joins,
         # each followed by its old chain_end and chain_size
         self.trail: list | None = None
+        self.lo = 0
 
     @classmethod
     def for_graph(cls, graph: Graph) -> "EdgeAssignment":
@@ -115,6 +117,7 @@ class EdgeAssignment:
         new.primed = self.primed
         new.steps = 0
         new.trail = None
+        new.lo = 0
         return new
 
     def snapshot(self) -> tuple[bytes, bool]:
@@ -255,18 +258,21 @@ class EdgeAssignment:
         self.steps += 1
         self.n_undecided -= 1
         # both counts drop before either is checked, so undo is exact
-        self.live[a] -= 1
-        self.live[b] -= 1
+        live = self.live
+        live[a] -= 1
+        live[b] -= 1
+        if live[a] == 3 or live[b] == 3:  # lower the cursor to the first (a < b)
+            self.lo = min(self.lo, a if live[a] == 3 else b)
         for v in (a, b):
-            if self.live[v] < 2:
+            if live[v] < 2:
                 self.conflict = Contradiction(VERTEX_UNDERFILLED, vertex=lab[v])
                 return
             self.queue.append(v)
 
     def _undo(self, mark: int) -> None:
         """Take back every trail entry past ``mark``, newest first, and drop
-        any conflict and pending work.  ``n_undecided`` is the caller's to
-        restore: it is saved with the mark."""
+        any conflict and pending work.  ``n_undecided`` and ``lo`` are the
+        caller's to restore: they are saved with the mark."""
         trail, state, ends = self.trail, self.state, self.graph.ends
         forced, live = self.forced, self.live
         chain_end, chain_size = self.chain_end, self.chain_size
@@ -390,12 +396,15 @@ def _branch_edge(asg: EdgeAssignment) -> int:
     Called at a propagation fixpoint without conflict.  There saturation and
     two-live leave ``live[v] == 2`` exactly where ``forced[v] == 2``, so a
     vertex has an undecided edge exactly when ``live[v] >= 3``, and the
-    branch vertex is the first index of the smallest such count: a scan in
-    C, with no per-vertex structure to keep up or undo.
+    branch vertex is the first index of the smallest such count.  A scan in
+    C finds it from the cursor ``asg.lo``: a deletion that leaves a count of
+    three lowers it to that vertex, a backtrack restores the value saved
+    with its trail mark (the counts are as they were then), and each scan
+    moves it up to the vertex found, so no node rescans from vertex 0.
     """
     live = asg.live
     try:
-        v = live.index(3)
+        v = asg.lo = live.index(3, asg.lo)
     except ValueError:  # the smallest count of three or more is larger
         v = live.index(min(filter((3).__le__, live)))
     ends, state = asg.graph.ends, asg.state
@@ -425,9 +434,9 @@ def decide(
 
     The search works on one assignment (a copy of ``seed``, which is left
     as it was) and logs every change to its trail.  Each open deleted
-    branch is a stack entry of trail mark, undecided count, edge and depth;
-    taking it undoes the trail to the mark and deletes the edge.  Search
-    memory is O(V + E + depth).
+    branch is a stack entry of trail mark, undecided count, branch cursor,
+    edge and depth; taking it undoes the trail to the mark and deletes the
+    edge.  Search memory is O(V + E + depth).
     """
     budget = budget or SearchBudget()
     if graph.n_vertices < 3 or not is_connected(graph) or min(map(len, graph.incident)) < 2:
@@ -441,7 +450,7 @@ def decide(
     nodes = 0
     max_depth = 0
     depth = 0
-    stack: list[tuple[int, int, int, int]] = []
+    stack: list[tuple[int, int, int, int, int]] = []
     # (_force or _delete, edge id) that opens the next node; applied after
     # the budget checks, so a node the budget cuts off adds no steps
     enter = None
@@ -463,12 +472,12 @@ def decide(
                 return HamVerdict(HAMILTONIAN, cycle=cycle, nodes=nodes, max_depth=max_depth, steps=asg.steps)
             eid = _branch_edge(asg)
             depth += 1
-            stack.append((len(trail), asg.n_undecided, eid, depth))
+            stack.append((len(trail), asg.n_undecided, asg.lo, eid, depth))
             enter = (asg._force, eid)
             continue
         if not stack:
             return HamVerdict(NON_HAMILTONIAN, nodes=nodes, max_depth=max_depth, steps=asg.steps)
-        mark, asg.n_undecided, eid, depth = stack.pop()
+        mark, asg.n_undecided, asg.lo, eid, depth = stack.pop()
         asg._undo(mark)
         enter = (asg._delete, eid)
 

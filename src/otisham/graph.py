@@ -46,7 +46,7 @@ class Graph:
         return g
 
     def add_vertex(self, v: str) -> None:
-        if not v or any(ch.isspace() for ch in v):
+        if v.split() != [v]:  # empty, or split where str.isspace() holds
             raise GraphError(f"vertex label must be non-empty and whitespace-free: {v!r}")
         if v not in self.index:
             self.index[v] = len(self.labels)
@@ -128,16 +128,16 @@ class Graph:
 
 
 def graph_hash(graph: Graph) -> str:
-    """Stable content hash over the sorted vertex and edge sets."""
-    h = hashlib.sha256()
-    for v in sorted(graph.vertices()):
-        h.update(b"v")
-        h.update(v.encode())
-    for u, v in sorted(tuple(sorted(e)) for e in graph.edges()):
-        h.update(b"e")
-        h.update(u.encode())
-        h.update(b" ")
-        h.update(v.encode())
+    """Stable content hash over the sorted vertex and edge sets: "v" and each
+    label, then "e", each edge's lower label, a space and its higher label.
+
+    The edges go in one ``update`` each: one text of them all would hold a
+    string per edge at once, and set the peak memory of a build."""
+    lab = graph.labels
+    h = hashlib.sha256("".join(["v" + v for v in sorted(lab)]).encode())
+    edges = ((lab[a], lab[b]) for a, b in graph.ends)
+    for u, v in sorted((u, v) if u <= v else (v, u) for u, v in edges):
+        h.update(f"e{u} {v}".encode())
     return h.hexdigest()
 
 

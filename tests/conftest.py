@@ -12,10 +12,37 @@ from otisham.cli import sweep_pairs
 from otisham.constructive import BuildResult, build_ham_cycle, key_edges
 from otisham.engine import Contradiction, EdgeAssignment, propagate
 from otisham.graph import Graph, HamCycle, _eccentricity
-from otisham.topology import BowtieParams, gen_bowtie, otis, otis_label
+from otisham.topology import (
+    BowtieParams,
+    gen_bowtie,
+    gen_butterfly,
+    gen_complete,
+    gen_cycle,
+    gen_path,
+    otis,
+    otis_label,
+)
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")
+
+
+# the bases of the golden outputs
+GOLDEN_BASES = {
+    "BF(3,3)": lambda: gen_bowtie(3, 3),
+    "BF(3,4)": lambda: gen_bowtie(3, 4),
+    "BF(4,4)": lambda: gen_bowtie(4, 4),
+    "BF(4,6)": lambda: gen_bowtie(4, 6),
+    "BF(4,10)": lambda: gen_bowtie(4, 10),
+    "BF(6,8)": lambda: gen_bowtie(6, 8),
+    "BF(7,4)": lambda: gen_bowtie(7, 4),
+    "WBF(3)": lambda: gen_butterfly(3),
+    "C_7": lambda: gen_cycle(7),
+    "C_12": lambda: gen_cycle(12),
+    "K_5": lambda: gen_complete(5),
+    "K_8": lambda: gen_complete(8),
+    "P_4": lambda: gen_path(4),
+}
 
 
 def sweep_parameter_pairs(max_base: int = 21) -> list[tuple[int, int]]:

@@ -1,13 +1,16 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line with the measured numbers."""
 
+import contextlib
+import io
 import math
 import random
+import statistics
 import time
 
 import pytest
 
-from otisham.cli import reproduce_report
+from otisham.cli import main, reproduce_report
 from otisham.constructive import (
     BuildResult,
     FailureReport,
@@ -185,6 +188,22 @@ def loglog_slope(xs: list[float], ys: list[float]) -> float:
     return sum((a - mlx) * (b - mly) for a, b in zip(lx, ly)) / sum((a - mlx) ** 2 for a in lx)
 
 
+# the large ladder: the sweep builds stop at OTIS(BF(11,11)), where a term
+# superlinear in V barely shows
+LARGE_LADDER = [(31, 30), (41, 40), (61, 60), (81, 80)]
+
+
+def ham_build_seconds(m: int, n: int) -> float:
+    """Median wall time of three ``ham-build --json`` commands."""
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["ham-build", "--m", str(m), "--n", str(n), "--json"]) == 0
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
 def test_criterion_4_cost_linearity(sweep_builds, sweep_build_seconds):
     points = []
     for (m, n), result in sweep_builds.items():
@@ -203,12 +222,16 @@ def test_criterion_4_cost_linearity(sweep_builds, sweep_build_seconds):
     exponent = loglog_slope(xs, ys)
     # reported only: wall time on a shared host is too noisy to bound
     wall_exponent = loglog_slope(xs, [t for _, _, t in points])
+    ladder_exponent = loglog_slope(
+        [float((m + n - 1) ** 2) for m, n in LARGE_LADDER], [ham_build_seconds(m, n) for m, n in LARGE_LADDER]
+    )
     assert r_squared >= 0.95, r_squared
     assert exponent <= 1.15, exponent
     report(
         "criterion 4 (linear cost)",
         f"{n} builds: R^2={r_squared:.4f}, log-log exponent={exponent:.3f}, "
-        f"wall-time exponent={wall_exponent:.3f}",
+        f"wall-time exponent={wall_exponent:.3f}; ham-build wall-time exponent over "
+        f"(31,30)-(81,80)={ladder_exponent:.3f}",
     )
 
 

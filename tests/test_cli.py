@@ -59,6 +59,15 @@ def test_decide_budget_inconclusive_exit_code(tmp_path):
     assert json.loads(proc.stdout)["verdict"] == "inconclusive"
 
 
+def test_budget_cut_build_is_inconclusive_exit_code():
+    # (3,3) has an empty table, so its whole search runs under the budget
+    proc = run("ham-build", "--m", "3", "--n", "3", "--budget-nodes", "1", "--json", check=False)
+    assert proc.returncode == 2
+    payload = json.loads(proc.stdout)
+    assert payload["failure"] == "inconclusive"
+    assert payload["detail"] == "search budget exhausted: node-budget"
+
+
 def test_decide_with_seed_file(tmp_path):
     el = tmp_path / "c4.el"
     el.write_text(run("gen", "cycle", "--k", "4").stdout)

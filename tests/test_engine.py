@@ -101,6 +101,23 @@ def test_decide_refutes_both_even_even_instances():
     assert v46.status == "non-hamiltonian" and v46.nodes > 0
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [
+        gen_path(3),
+        gen_path(2),
+        Graph.from_edges([("1", "2"), ("2", "3"), ("3", "1"), ("4", "5"), ("5", "6"), ("6", "4")]),
+    ],
+    ids=["P_3", "one edge", "two triangles"],
+)
+def test_seeded_decide_guard_refutes_before_searching(graph):
+    # the connectivity and minimum-degree guard answers these; without it a
+    # search of P_3 returns an invalid cycle witness, one of a single edge
+    # takes min() of no counts and two triangles take a search node
+    verdict = decide(graph, seed=EdgeAssignment(graph))
+    assert verdict.status == "non-hamiltonian" and verdict.nodes == 0
+
+
 def test_decide_rejects_a_seed_built_for_another_graph():
     # same labels, different edges: the seed's edge ids mean other edges here
     g1 = Graph.from_edges([("1", "2"), ("2", "3"), ("3", "4"), ("4", "1"), ("1", "3")])

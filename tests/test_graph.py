@@ -15,7 +15,8 @@ from otisham.graph import (
 from otisham.io import read_edge_list, to_dot, write_cycle_certificate, read_cycle_certificate, write_edge_list
 from otisham.topology import gen_bowtie, gen_cycle, gen_path, otis
 
-from conftest import random_graph
+import graph_reference
+from conftest import GOLDEN_BASES, random_graph
 
 
 def test_basic_container_semantics():
@@ -165,3 +166,32 @@ def test_graph_hash_insensitive_to_insertion_order():
     g1 = Graph.from_edges([("1", "2"), ("2", "3")])
     g2 = Graph.from_edges([("2", "3"), ("1", "2")])
     assert graph_hash(g1) == graph_hash(g2)
+
+
+def test_graph_hash_matches_the_per_update_reference():
+    rng = random.Random(20260808)
+    graphs = [random_graph(rng) for _ in range(200)]
+    for name in sorted(GOLDEN_BASES):
+        base = GOLDEN_BASES[name]()
+        graphs += [base, otis(base)]
+    # labels that are prefixes of one another, with and without a colon
+    graphs.append(Graph.from_edges([("a", "ab"), ("ab", "a:b"), ("a:b", "a")], vertices=["b"]))
+    for g in graphs:
+        assert graph_hash(g) == graph_reference.graph_hash(g), g
+
+
+def test_vertex_labels_are_rejected_exactly_at_whitespace():
+    with pytest.raises(GraphError):
+        Graph().add_vertex("")
+    wrong = []
+    for start in range(0, 0x110000, 0x1000):
+        g = Graph()  # one graph per block keeps the label index small
+        for c in range(start, start + 0x1000):
+            try:
+                g.add_vertex("a" + chr(c))
+                rejected = False
+            except GraphError:
+                rejected = True
+            if rejected != chr(c).isspace():
+                wrong.append(c)
+    assert wrong == []

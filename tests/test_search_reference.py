@@ -8,29 +8,13 @@ import random
 
 import pytest
 
+from otisham import engine
 from otisham.constructive import ParamClass, classify
 from otisham.engine import EdgeAssignment, SearchBudget, decide
-from otisham.topology import gen_bowtie, gen_butterfly, gen_complete, gen_cycle, gen_path, otis
+from otisham.topology import gen_bowtie, otis
 
 import search_reference
-from conftest import random_graph, sweep_parameter_pairs, table_seed
-
-# the bases of the golden outputs
-GOLDEN_BASES = {
-    "BF(3,3)": lambda: gen_bowtie(3, 3),
-    "BF(3,4)": lambda: gen_bowtie(3, 4),
-    "BF(4,4)": lambda: gen_bowtie(4, 4),
-    "BF(4,6)": lambda: gen_bowtie(4, 6),
-    "BF(4,10)": lambda: gen_bowtie(4, 10),
-    "BF(6,8)": lambda: gen_bowtie(6, 8),
-    "BF(7,4)": lambda: gen_bowtie(7, 4),
-    "WBF(3)": lambda: gen_butterfly(3),
-    "C_7": lambda: gen_cycle(7),
-    "C_12": lambda: gen_cycle(12),
-    "K_5": lambda: gen_complete(5),
-    "K_8": lambda: gen_complete(8),
-    "P_4": lambda: gen_path(4),
-}
+from conftest import GOLDEN_BASES, random_graph, sweep_parameter_pairs, table_seed
 
 
 def assert_same_verdict(graph, seed=None, budget=None):
@@ -78,3 +62,52 @@ def test_random_graph_searches_match():
 def test_budget_cut_searches_match(max_nodes):
     verdict = assert_same_verdict(otis(gen_bowtie(6, 8)), budget=SearchBudget(max_nodes=max_nodes))
     assert verdict.status == "inconclusive" and verdict.nodes == max_nodes
+
+
+def _seeded_sweeps():
+    for m, n in sweep_parameter_pairs(21):
+        if classify(m, n) is not ParamClass.SMALL_FIGURE:
+            graph, seed = table_seed(m, n)
+            yield graph, seed, None
+
+
+def _golden_bases():
+    for name in sorted(GOLDEN_BASES):
+        base = GOLDEN_BASES[name]()
+        yield base, None, None
+        yield otis(base), None, None  # OTIS(BF(4,4)) and OTIS(BF(4,6)) backtrack
+
+
+def _random_graphs():
+    rng = random.Random(20260808)
+    for _ in range(200):
+        yield random_graph(rng), None, None
+
+
+def _budget_cuts():
+    graph = otis(gen_bowtie(6, 8))
+    for max_nodes in (1, 2, 7, 50):
+        yield graph, None, SearchBudget(max_nodes=max_nodes)
+
+
+@pytest.mark.parametrize(
+    "inputs", [_seeded_sweeps, _golden_bases, _random_graphs, _budget_cuts], ids=lambda f: f.__name__[1:]
+)
+def test_branch_cursor_matches_the_full_scan(monkeypatch, inputs):
+    # every branch the trail search takes, after deletions and after undos,
+    # must be the one the reference's scan over all vertices picks
+    cursor_scan = engine._branch_edge
+    calls = 0
+
+    def checked(asg):
+        nonlocal calls
+        calls += 1
+        assert 3 not in asg.live[: asg.lo]
+        eid = cursor_scan(asg)
+        assert eid == search_reference._branch_edge(asg)
+        return eid
+
+    monkeypatch.setattr(engine, "_branch_edge", checked)
+    for graph, seed, budget in inputs():
+        engine.decide(graph, seed=seed, budget=budget)
+    assert calls > 0
