@@ -91,7 +91,7 @@ def _read_graph(path: str) -> Graph:
     return read_edge_list(_read_text(path))
 
 
-def _emit(args, payload: dict, wall_ms: float) -> None:
+def _emit(args, payload: dict) -> None:
     if args.json:
         payload = dict(payload)
         payload["version"] = __version__
@@ -99,7 +99,7 @@ def _emit(args, payload: dict, wall_ms: float) -> None:
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
-        print(f"wall_ms: {wall_ms:.1f}")
+        print(f"wall_ms: {(time.perf_counter() - args.t0) * 1e3:.1f}")
 
 
 def _write_graph(graph: Graph, out: str | None, dot: bool) -> None:
@@ -148,7 +148,6 @@ def cmd_otis(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    t0 = time.perf_counter()
     graph = _read_graph(getattr(args, "in"))
     seed = None
     if args.seed:
@@ -166,17 +165,16 @@ def cmd_decide(args) -> int:
         "depth": verdict.max_depth,
         "input_hash": graph_hash(graph),
     }
-    _emit(args, payload, (time.perf_counter() - t0) * 1e3)
+    _emit(args, payload)
     return EXIT_INCONCLUSIVE if verdict.status == INCONCLUSIVE else EXIT_OK
 
 
 def cmd_refute_count(args) -> int:
-    t0 = time.perf_counter()
     graph = _read_graph(getattr(args, "in"))
     cert = counting_refutation(graph)
     if cert is None:
         payload = {"inconclusive": True, "input_hash": graph_hash(graph)}
-        _emit(args, payload, (time.perf_counter() - t0) * 1e3)
+        _emit(args, payload)
         return EXIT_INCONCLUSIVE
     payload = {
         "edge_budget": cert.edge_budget,
@@ -188,12 +186,11 @@ def cmd_refute_count(args) -> int:
         "verdict": NON_HAMILTONIAN,
         "input_hash": graph_hash(graph),
     }
-    _emit(args, payload, (time.perf_counter() - t0) * 1e3)
+    _emit(args, payload)
     return EXIT_OK
 
 
 def cmd_ham_build(args) -> int:
-    t0 = time.perf_counter()
     try:
         BowtieParams(args.m, args.n)
     except ValueError as exc:
@@ -216,7 +213,7 @@ def cmd_ham_build(args) -> int:
                 {"cluster": ke.cluster, "edge": [ke.a, ke.b], "tag": ke.tag} for ke in edges
             ],
         }
-        _emit(args, payload, (time.perf_counter() - t0) * 1e3)
+        _emit(args, payload)
         return EXIT_OK
     result = build_ham_cycle(args.m, args.n, budget=_budget(args))
     if isinstance(result, FailureReport):
@@ -227,7 +224,7 @@ def cmd_ham_build(args) -> int:
             "failure": result.kind,
             "detail": result.detail,
         }
-        _emit(args, payload, (time.perf_counter() - t0) * 1e3)
+        _emit(args, payload)
         return {UNSUPPORTED_CLASS: EXIT_OK, INCONCLUSIVE: EXIT_INCONCLUSIVE}.get(result.kind, EXIT_MISMATCH)
     if args.dot:
         _write_graph(result.graph, args.out, True)
@@ -241,12 +238,11 @@ def cmd_ham_build(args) -> int:
         "steps": result.steps,
         "graph_hash": graph_hash(result.graph),
     }
-    _emit(args, payload, (time.perf_counter() - t0) * 1e3)
+    _emit(args, payload)
     return EXIT_OK
 
 
 def cmd_ist(args) -> int:
-    t0 = time.perf_counter()
     cert = read_cycle_certificate(_read_text(args.cycle))
     graph = None
     if getattr(args, "in", None):
@@ -266,12 +262,11 @@ def cmd_ist(args) -> int:
         "independent": report.vertex_disjoint,
         "edge_disjoint": report.edge_disjoint,
     }
-    _emit(args, payload, (time.perf_counter() - t0) * 1e3)
+    _emit(args, payload)
     return EXIT_OK if report.vertex_disjoint else EXIT_MISMATCH
 
 
 def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
     graph = _read_graph(getattr(args, "in"))
     cert = read_cycle_certificate(_read_text(args.cycle))
     hash_ok = graph_hash(graph) == cert["graph_hash"]
@@ -282,7 +277,7 @@ def cmd_verify(args) -> int:
         "reason": reason,
         "input_hash": graph_hash(graph),
     }
-    _emit(args, payload, (time.perf_counter() - t0) * 1e3)
+    _emit(args, payload)
     return EXIT_OK if hash_ok and reason is None else EXIT_MISMATCH
 
 
@@ -292,7 +287,8 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-# expected values for the reproduction command (degree census keyed by degree)
+# expected values for the reproduction command, in the report's own shape
+# (degree census keyed by the degree as a string)
 _REPRO_EXPECT = {
     "vertices": 49,
     "edges": 77,
@@ -300,8 +296,10 @@ _REPRO_EXPECT = {
     "family_bound": 20,
     "independent_bound": 9,
     "total_bound": 29,
-    "census": {2: 6, 3: 36, 4: 1, 5: 6},
+    "census": {"2": 6, "3": 36, "4": 1, "5": 6},
     "degree5": ["1:4", "2:4", "3:4", "5:4", "6:4", "7:4"],
+    "verdict_4_4": NON_HAMILTONIAN,
+    "verdict_4_6": NON_HAMILTONIAN,
 }
 
 
@@ -309,7 +307,6 @@ def reproduce_report(graph_44: Graph | None = None, graph_46: Graph | None = Non
     """Recompute the headline counts; returns (report, mismatches)."""
     g44 = graph_44 if graph_44 is not None else otis(gen_bowtie(4, 4))
     g46 = graph_46 if graph_46 is not None else otis(gen_bowtie(4, 6))
-    mismatches: list[str] = []
     census = Counter(g44.degree(v) for v in g44.vertices())
     cert = counting_refutation(g44)
     verdict_44 = decide(g44)
@@ -326,27 +323,20 @@ def reproduce_report(graph_44: Graph | None = None, graph_46: Graph | None = Non
         "verdict_4_4": verdict_44.status,
         "verdict_4_6": verdict_46.status,
     }
-    exp = _REPRO_EXPECT
-    for key in ("vertices", "edges", "edge_budget", "family_bound", "independent_bound", "total_bound"):
-        if report[key] != exp[key]:
-            mismatches.append(f"{key}: expected {exp[key]}, got {report[key]}")
-    if report["census"] != {str(k): v for k, v in exp["census"].items()}:
-        mismatches.append(f"census: expected {exp['census']}, got {report['census']}")
-    if report["degree5"] != exp["degree5"]:
-        mismatches.append(f"degree5: expected {exp['degree5']}, got {report['degree5']}")
-    for key in ("verdict_4_4", "verdict_4_6"):
-        if report[key] != NON_HAMILTONIAN:
-            mismatches.append(f"{key}: expected {NON_HAMILTONIAN}, got {report[key]}")
+    mismatches = [
+        f"{key}: expected {want}, got {report[key]}"
+        for key, want in _REPRO_EXPECT.items()
+        if report[key] != want
+    ]
     return report, mismatches
 
 
 def cmd_reproduce(args) -> int:
-    t0 = time.perf_counter()
     report, mismatches = reproduce_report()
     payload = dict(report)
     payload["mismatches"] = mismatches
     payload["ok"] = not mismatches
-    _emit(args, payload, (time.perf_counter() - t0) * 1e3)
+    _emit(args, payload)
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
@@ -397,7 +387,6 @@ def sweep_workers() -> int:
 
 
 def cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
     if args.max_base < 5:
         print("error: --max-base must be >= 5", file=sys.stderr)
         return EXIT_USAGE
@@ -421,7 +410,7 @@ def cmd_sweep(args) -> int:
         "failed": len(failed),
         "entries": entries,
     }
-    _emit(args, payload, (time.perf_counter() - t0) * 1e3)
+    _emit(args, payload)
     return EXIT_OK if not failed else EXIT_MISMATCH
 
 
@@ -497,6 +486,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.t0 = time.perf_counter()
     try:
         return args.fn(args)
     except (GraphError, UsageError, OSError) as exc:

@@ -69,7 +69,8 @@ class KeyEdgeError(ValueError):
 
 class _Rows:
     """Accumulates (cluster, edge, tag) rows with label arithmetic local to
-    the cycle containing each label."""
+    the cycle containing each label.  Each tag names its row's cluster and
+    kind, as in ``cluster 4: cut edges``."""
 
     def __init__(self, m: int, n: int):
         self.c = m
@@ -85,24 +86,29 @@ class _Rows:
         """Label x+k on the right cycle {c..i}."""
         return (x + k - self.c) % self.n + self.c
 
-    def add(self, cluster: int, a: int, b: int, tag: str) -> None:
-        self.out.append(KeyEdge(cluster, a, b, tag))
+    def add(self, cluster: int, a: int, b: int, kind: str) -> None:
+        self.out.append(KeyEdge(cluster, a, b, f"cluster {cluster}: {kind}"))
 
-    def run(self, cluster: int, start: int, stop: int, tag: str) -> None:
+    def cut(self, cluster: int, *others: int) -> None:
+        """Cut edges (c, x) for each x of ``others``, in order."""
+        for x in others:
+            self.add(cluster, self.c, x, "cut edges")
+
+    def run(self, cluster: int, start: int, stop: int, kind: str) -> None:
         """Ascending pairs (start, start+1), (start+2, start+3), ...,
         (stop, stop+1); empty when stop < start."""
         for a in range(start, stop + 1, 2):
-            self.add(cluster, a, a + 1, tag)
+            self.add(cluster, a, a + 1, kind)
 
-    def flank(self, cluster: int, x: int, tag: str) -> None:
-        """The universal rule: delete (x-2, x-1) and (x+1, x+2), wrapping
-        inside the cycle that contains x."""
+    def flank(self, x: int) -> None:
+        """The universal rule in cluster x: delete (x-2, x-1) and
+        (x+1, x+2), wrapping inside the cycle that contains x."""
         if x < self.c:
-            self.add(cluster, self.left(x, -2), self.left(x, -1), tag)
-            self.add(cluster, self.left(x, 1), self.left(x, 2), tag)
+            self.add(x, self.left(x, -2), self.left(x, -1), "flank")
+            self.add(x, self.left(x, 1), self.left(x, 2), "flank")
         elif x > self.c:
-            self.add(cluster, self.right(x, -2), self.right(x, -1), tag)
-            self.add(cluster, self.right(x, 1), self.right(x, 2), tag)
+            self.add(x, self.right(x, -2), self.right(x, -1), "flank")
+            self.add(x, self.right(x, 1), self.right(x, 2), "flank")
         # x == c sits on both cycles; the rule is ambiguous there and the
         # cut vertex rows already pin cluster c, so it is skipped.
 
@@ -111,222 +117,161 @@ def _rows_odd_odd_equal(r: _Rows) -> None:
     c, i = r.c, r.i
     # hub clusters 1 and c+1 delete both side runs plus three cut edges
     for g in (1, c + 1):
-        r.run(g, 2, c - 1, f"cluster {g}: left run")
-        r.run(g, c + 2, i - 2, f"cluster {g}: right run")
-        r.add(g, c, i, f"cluster {g}: cut edges")
-        r.add(g, c, c - 1, f"cluster {g}: cut edges")
-        r.add(g, c, c + 1 if g == 1 else 1, f"cluster {g}: cut edges")
+        r.run(g, 2, c - 1, "left run")
+        r.run(g, c + 2, i - 2, "right run")
+        r.cut(g, i, c - 1, c + 1 if g == 1 else 1)
     # left clusters: runs spreading away from the diagonal
     for g in range(2, c, 2):
-        r.run(g, 2, g - 2, f"cluster {g}: lower run")
-        r.run(g, g + 1, c - 2, f"cluster {g}: upper run")
-        r.add(g, c, 1, f"cluster {g}: cut edges")
-        r.add(g, c, c + 1, f"cluster {g}: cut edges")
+        r.run(g, 2, g - 2, "lower run")
+        r.run(g, g + 1, c - 2, "upper run")
+        r.cut(g, 1, c + 1)
     for g in range(3, c - 1, 2):
-        r.run(g, 1, g - 2, f"cluster {g}: lower run")
-        r.run(g, g + 1, c - 3, f"cluster {g}: upper run")
-        r.add(g, c, c - 1, f"cluster {g}: cut edges")
-        r.add(g, c, c + 1, f"cluster {g}: cut edges")
+        r.run(g, 1, g - 2, "lower run")
+        r.run(g, g + 1, c - 3, "upper run")
+        r.cut(g, c - 1, c + 1)
     # right clusters: the mirror image under the two-cycle swap
     for g in range(c + 2, i + 1, 2):
-        r.run(g, c + 2, g - 2, f"cluster {g}: lower run")
-        r.run(g, g + 1, i - 1, f"cluster {g}: upper run")
-        r.add(g, c, c + 1, f"cluster {g}: cut edges")
-        r.add(g, c, 1, f"cluster {g}: cut edges")
+        r.run(g, c + 2, g - 2, "lower run")
+        r.run(g, g + 1, i - 1, "upper run")
+        r.cut(g, c + 1, 1)
     for g in range(c + 3, i, 2):
-        r.run(g, c + 1, g - 2, f"cluster {g}: lower run")
-        r.run(g, g + 1, i - 3, f"cluster {g}: upper run")
-        r.add(g, c, i, f"cluster {g}: cut edges")
-        r.add(g, c, 1, f"cluster {g}: cut edges")
+        r.run(g, c + 1, g - 2, "lower run")
+        r.run(g, g + 1, i - 3, "upper run")
+        r.cut(g, i, 1)
     for x in range(1, i + 1):
-        r.flank(x, x, f"cluster {x}: flank")
+        r.flank(x)
 
 
 def _rows_odd_odd_3n(r: _Rows) -> None:
     c, i = r.c, r.i
-    r.run(1, c + 2, i - 2, "cluster 1: right run")
-    r.add(1, c, i, "cluster 1: cut edges")
-    r.add(1, c, c - 1, "cluster 1: cut edges")
-    r.add(1, c, c + 1, "cluster 1: cut edges")
-    r.add(2, c, 1, "cluster 2: cut edges")
-    r.add(2, c, c + 1, "cluster 2: cut edges")
+    r.run(1, c + 2, i - 2, "right run")
+    r.cut(1, i, c - 1, c + 1)
+    r.cut(2, 1, c + 1)
     if i > 7:
-        r.run(2, 6, i - 3, "cluster 2: right run")
-    r.add(3, c, 1, "cluster 3: cut edges")
-    r.add(3, c, c + 1, "cluster 3: cut edges")
-    g = c + 1
-    r.add(g, c, 1, f"cluster {g}: cut edges")
-    r.add(g, c, c - 1, f"cluster {g}: cut edges")
-    r.add(g, c, i, f"cluster {g}: cut edges")
-    r.run(g, c + 2, i - 2, f"cluster {g}: right run")
-    g = i - 1
-    r.add(g, c, 1, f"cluster {g}: cut edges")
-    r.add(g, c, i, f"cluster {g}: cut edges")
+        r.run(2, 6, i - 3, "right run")
+    r.cut(3, 1, c + 1)
+    r.cut(c + 1, 1, c - 1, i)
+    r.run(c + 1, c + 2, i - 2, "right run")
+    r.cut(i - 1, 1, i)
     if i > 9:
-        r.run(g, 4, i - 3, f"cluster {g}: right run")
-    r.add(5, c, 1, "cluster 5: cut edges")
+        r.run(i - 1, 4, i - 3, "right run")
+    r.cut(5, 1)
     for g in range(6, i - 1):
-        r.add(g, c, 1, f"cluster {g}: cut edges")
-        r.add(g, c, c - 1, f"cluster {g}: cut edges")
-    r.add(i, c, 1, f"cluster {i}: cut edges")
+        r.cut(g, 1, c - 1)
+    r.cut(i, 1)
     for x in range(1, i + 1):
-        r.flank(x, x, f"cluster {x}: flank")
+        r.flank(x)
 
 
 def _rows_odd_even_3(r: _Rows) -> None:
     i = r.i
-    r.add(1, 3, 2, "cluster 1: cut edges")
-    r.add(1, 3, 4, "cluster 1: cut edges")
-    r.add(1, 3, i, "cluster 1: cut edges")
-    r.add(2, 3, 1, "cluster 2: cut edges")
-    r.add(2, 3, 4, "cluster 2: cut edges")
-    r.run(2, 5, i - 1, "cluster 2: right run")
-    r.add(3, 3, 1, "cluster 3: cut edges")
-    r.add(3, 3, 4, "cluster 3: cut edges")
-    r.add(4, 3, 1, "cluster 4: cut edges")
-    r.add(4, 3, 2, "cluster 4: cut edges")
-    r.add(4, 3, i, "cluster 4: cut edges")
+    r.cut(1, 2, 4, i)
+    r.cut(2, 1, 4)
+    r.run(2, 5, i - 1, "right run")
+    r.cut(3, 1, 4)
+    r.cut(4, 1, 2, i)
     for g in range(5, i):
-        r.add(g, 3, 2, f"cluster {g}: cut edges")
-        r.add(g, 3, i, f"cluster {g}: cut edges")
-    r.add(i, 3, 1, f"cluster {i}: cut edges")
-    r.add(i, 3, 2, f"cluster {i}: cut edges")
-    r.run(i, 4, i - 2, f"cluster {i}: right run")
+        r.cut(g, 2, i)
+    r.cut(i, 1, 2)
+    r.run(i, 4, i - 2, "right run")
 
 
 def _rows_odd_odd_general(r: _Rows) -> None:
     c, i = r.c, r.i
-    r.add(1, c, c - 1, "cluster 1: cut edges")
-    r.add(1, c, c + 1, "cluster 1: cut edges")
-    r.add(1, c, i, "cluster 1: cut edges")
-    r.run(1, 2, c - 1, "cluster 1: left run")
-    r.run(1, c + 2, i - 2, "cluster 1: right run")
-    r.add(2, c, 1, "cluster 2: cut edges")
-    r.add(2, c, i, "cluster 2: cut edges")
-    r.add(2, c - 2, c - 1, "cluster 2: pair")
+    r.cut(1, c - 1, c + 1, i)
+    r.run(1, 2, c - 1, "left run")
+    r.run(1, c + 2, i - 2, "right run")
+    r.cut(2, 1, i)
+    r.add(2, c - 2, c - 1, "pair")
     if i - 5 >= c + 5:
-        r.run(2, c + 5, i - 5, "cluster 2: right run")
-    r.add(3, i - 1, i - 2, "cluster 3: pair")
-    r.add(3, c, c - 1, "cluster 3: cut edges")
-    r.add(3, c, c + 1, "cluster 3: cut edges")
+        r.run(2, c + 5, i - 5, "right run")
+    r.add(3, i - 1, i - 2, "pair")
+    r.cut(3, c - 1, c + 1)
     if i - 5 >= c + 5:
-        r.run(3, c + 5, i - 5, "cluster 3: right run")
+        r.run(3, c + 5, i - 5, "right run")
     for g in range(4, c - 2):
-        r.add(g, c, 1, f"cluster {g}: cut edges")
-        r.add(g, c, c + 1, f"cluster {g}: cut edges")
-        r.add(g, i - 2, i - 1, f"cluster {g}: pair")
-    g = c - 2
-    r.add(g, c, c - 1, f"cluster {g}: cut edges")
-    r.add(g, c, c + 1, f"cluster {g}: cut edges")
-    r.add(g, i - 2, i - 1, f"cluster {g}: pair")
+        r.cut(g, 1, c + 1)
+        r.add(g, i - 2, i - 1, "pair")
+    r.cut(c - 2, c - 1, c + 1)
+    r.add(c - 2, i - 2, i - 1, "pair")
     g = c - 1
-    r.add(g, c, 1, f"cluster {g}: cut edges")
-    r.add(g, c, i, f"cluster {g}: cut edges")
-    r.add(g, 2, 3, f"cluster {g}: pair")
-    r.run(g, c + 4, i - 2, f"cluster {g}: right run")
-    r.add(c, c, 1, f"cluster {c}: cut edges")
-    r.add(c, c, c + 1, f"cluster {c}: cut edges")
+    r.cut(g, 1, i)
+    r.add(g, 2, 3, "pair")
+    r.run(g, c + 4, i - 2, "right run")
+    r.cut(c, 1, c + 1)
     g = c + 1
-    r.add(g, c, 1, f"cluster {g}: cut edges")
-    r.add(g, c, c - 1, f"cluster {g}: cut edges")
-    r.add(g, c, i, f"cluster {g}: cut edges")
-    r.add(g, c + 2, c + 3, f"cluster {g}: pair")
-    r.add(g, i - 2, i - 1, f"cluster {g}: pair")
-    g = c + 2
-    r.add(g, c, c - 1, f"cluster {g}: cut edges")
-    r.add(g, c, c + 1, f"cluster {g}: cut edges")
-    r.add(g, i - 1, i, f"cluster {g}: pair")
-    g = c + 3
-    r.add(g, c, 1, f"cluster {g}: cut edges")
-    r.add(g, c, c + 1, f"cluster {g}: cut edges")
-    r.add(g, i - 1, i, f"cluster {g}: pair")
-    g = c + 4
-    r.add(g, c, c - 1, f"cluster {g}: cut edges")
-    r.add(g, c, 1, f"cluster {g}: cut edges")
-    r.add(g, i - 1, i, f"cluster {g}: pair")
+    r.cut(g, 1, c - 1, i)
+    r.add(g, c + 2, c + 3, "pair")
+    r.add(g, i - 2, i - 1, "pair")
+    r.cut(c + 2, c - 1, c + 1)
+    r.add(c + 2, i - 1, i, "pair")
+    r.cut(c + 3, 1, c + 1)
+    r.add(c + 3, i - 1, i, "pair")
+    r.cut(c + 4, c - 1, 1)
+    r.add(c + 4, i - 1, i, "pair")
     for g in range(c + 5, i - 3):
         if i - 5 >= c + 5:
-            r.add(g, 2, 3, f"cluster {g}: conditional pair")
-        r.add(g, c, 1, f"cluster {g}: cut edges")
-        r.add(g, c, c - 1, f"cluster {g}: cut edges")
-        r.add(g, i, i - 1, f"cluster {g}: pair")
-    g = i - 3
-    r.add(g, c, 1, f"cluster {g}: cut edges")
-    r.add(g, c, c - 1, f"cluster {g}: cut edges")
-    r.add(g, i - 1, i, f"cluster {g}: pair")
+            r.add(g, 2, 3, "conditional pair")
+        r.cut(g, 1, c - 1)
+        r.add(g, i, i - 1, "pair")
+    r.cut(i - 3, 1, c - 1)
+    r.add(i - 3, i - 1, i, "pair")
     g = i - 2
-    r.run(g, 3, c - 2, f"cluster {g}: left run")
-    r.add(g, c, 1, f"cluster {g}: cut edges")
-    r.add(g, c, c + 1, f"cluster {g}: cut edges")
-    r.add(g, i, i - 1, f"cluster {g}: pair")
+    r.run(g, 3, c - 2, "left run")
+    r.cut(g, 1, c + 1)
+    r.add(g, i, i - 1, "pair")
     g = i - 1
-    r.run(g, 3, c - 2, f"cluster {g}: left run")
-    r.add(g, c, 1, f"cluster {g}: cut edges")
-    r.add(g, c, i, f"cluster {g}: cut edges")
-    r.run(g, c + 1, i - 3, f"cluster {g}: right run")
+    r.run(g, 3, c - 2, "left run")
+    r.cut(g, 1, i)
+    r.run(g, c + 1, i - 3, "right run")
     g = i
-    r.add(g, 1, 2, f"cluster {g}: pair")
-    r.add(g, c, c - 1, f"cluster {g}: cut edges")
-    r.add(g, c, c + 1, f"cluster {g}: cut edges")
-    r.run(g, c + 2, i - 2, f"cluster {g}: right run")
+    r.add(g, 1, 2, "pair")
+    r.cut(g, c - 1, c + 1)
+    r.run(g, c + 2, i - 2, "right run")
     for x in range(1, c):
-        r.flank(x, x, f"cluster {x}: flank")
+        r.flank(x)
 
 
 def _rows_odd_even_general(r: _Rows) -> None:
     c, i = r.c, r.i
-    r.add(1, c, c - 1, "cluster 1: cut edges")
-    r.add(1, c, c + 1, "cluster 1: cut edges")
-    r.add(1, c, i, "cluster 1: cut edges")
-    r.run(1, 2, c - 1, "cluster 1: left run")
-    r.add(2, c, 1, "cluster 2: cut edges")
-    r.add(2, c, c + 1, "cluster 2: cut edges")
-    r.add(2, c - 2, c - 1, "cluster 2: pair")
+    r.cut(1, c - 1, c + 1, i)
+    r.run(1, 2, c - 1, "left run")
+    r.cut(2, 1, c + 1)
+    r.add(2, c - 2, c - 1, "pair")
     if i >= c + 3:
-        r.run(2, c + 2, i - 3, "cluster 2: right run")
-    r.add(3, c, c - 1, "cluster 3: cut edges")
-    r.add(3, c, c + 1, "cluster 3: cut edges")
+        r.run(2, c + 2, i - 3, "right run")
+    r.cut(3, c - 1, c + 1)
     if i >= c + 3:
-        r.run(3, c + 2, i - 3, "cluster 3: right run")
+        r.run(3, c + 2, i - 3, "right run")
     if 4 < c - 1:
         for g in range(3, c - 2):
-            r.add(g, i - 1, i, f"cluster {g}: conditional pair")
+            r.add(g, i - 1, i, "conditional pair")
     if 4 < c - 3:
         for g in range(4, c - 2):
-            r.add(g, c, 1, f"cluster {g}: cut edges")
-            r.add(g, c, c + 1, f"cluster {g}: cut edges")
-    g = c - 2
-    r.add(g, c, c - 1, f"cluster {g}: cut edges")
-    r.add(g, c, c + 1, f"cluster {g}: cut edges")
+            r.cut(g, 1, c + 1)
+    r.cut(c - 2, c - 1, c + 1)
     g = c - 1
-    r.add(g, c, 1, f"cluster {g}: cut edges")
-    r.add(g, c, i, f"cluster {g}: cut edges")
-    r.add(g, 2, 3, f"cluster {g}: pair")
-    r.run(g, c + 1, i - 2, f"cluster {g}: right run")
-    r.add(c, c, 1, f"cluster {c}: cut edges")
-    r.add(c, c, c + 1, f"cluster {c}: cut edges")
+    r.cut(g, 1, i)
+    r.add(g, 2, 3, "pair")
+    r.run(g, c + 1, i - 2, "right run")
+    r.cut(c, 1, c + 1)
     g = c + 1
-    r.add(g, c, 1, f"cluster {g}: cut edges")
-    r.add(g, c, c - 1, f"cluster {g}: cut edges")
-    r.add(g, c, i, f"cluster {g}: cut edges")
-    r.run(g, 2, c - 3, f"cluster {g}: left run")
+    r.cut(g, 1, c - 1, i)
+    r.run(g, 2, c - 3, "left run")
     for g in range(c + 2, i - 1):
-        r.add(g, c, c - 1, f"cluster {g}: cut edges")
-        r.add(g, c, i, f"cluster {g}: cut edges")
+        r.cut(g, c - 1, i)
         if c + 3 < i:
-            r.add(g, 2, 3, f"cluster {g}: conditional pair")
+            r.add(g, 2, 3, "conditional pair")
     g = i - 1
-    r.add(g, c, c - 1, f"cluster {g}: cut edges")
-    r.add(g, c, i, f"cluster {g}: cut edges")
+    r.cut(g, c - 1, i)
     if 4 < c - 1:
-        r.run(g, 3, c - 3, f"cluster {g}: left run")
+        r.run(g, 3, c - 3, "left run")
     g = i
-    r.add(g, c, 1, f"cluster {g}: cut edges")
-    r.add(g, c, c - 1, f"cluster {g}: cut edges")
-    r.run(g, 3, c - 3, f"cluster {g}: left run")
-    r.run(g, c + 1, i - 2, f"cluster {g}: right run")
+    r.cut(g, 1, c - 1)
+    r.run(g, 3, c - 3, "left run")
+    r.run(g, c + 1, i - 2, "right run")
     for x in range(1, c):
-        r.flank(x, x, f"cluster {x}: flank")
+        r.flank(x)
 
 
 def _rows_small_figure(r: _Rows) -> None:

@@ -23,7 +23,6 @@ back to a mark (the trail-and-undo design of MiniSat, Een & Sorensson 2003).
 
 from __future__ import annotations
 
-import random
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -119,9 +118,6 @@ class EdgeAssignment:
         new.trail = None
         new.lo = 0
         return new
-
-    def snapshot(self) -> tuple[bytes, bool]:
-        return bytes(self.state), self.conflict is not None
 
     # -- primitives --------------------------------------------------------
 
@@ -314,16 +310,11 @@ class EdgeAssignment:
                     if self.conflict is not None:
                         return
 
-    def run(self, rng: random.Random | None = None) -> Contradiction | None:
+    def run(self) -> Contradiction | None:
         """Apply rules until fixpoint or contradiction."""
         q, forced, live = self.queue, self.forced, self.live
         while q and self.conflict is None:
-            if rng is None:
-                v = q.popleft()
-            else:
-                k = rng.randrange(len(q))
-                q.rotate(-k)
-                v = q.popleft()
+            v = q.popleft()
             self.steps += 1
             f, n_live = forced[v], live[v]
             if n_live > f and (f == 2 or n_live == 2):  # a rule settles an undecided edge
@@ -356,11 +347,11 @@ class EdgeAssignment:
         return HamCycle(order=tuple(lab[k] for k in order))
 
 
-def propagate(assignment: EdgeAssignment, *, rng: random.Random | None = None):
+def propagate(assignment: EdgeAssignment):
     """Run the rules to fixpoint.  Returns the assignment, or the first
     Contradiction encountered."""
     assignment.prime()
-    conflict = assignment.run(rng=rng)
+    conflict = assignment.run()
     return conflict if conflict is not None else assignment
 
 

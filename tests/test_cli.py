@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-CLI = [sys.executable, "-m", "otisham.cli"]
+CLI = [sys.executable, "-m", "otisham"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 

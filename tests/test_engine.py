@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 
@@ -132,7 +133,8 @@ def test_seeded_search_memory_is_small_and_leaves_the_seed_alone():
     # the table seed of OTIS(BF(31,30)) leaves a search 1,271 levels deep;
     # a state copy per level took 148 MB here
     graph, seed = table_seed(31, 30)
-    before = (seed.snapshot(), seed.live[:], seed.forced[:], seed.chain_end[:], seed.n_undecided)
+    before = (bytes(seed.state), seed.conflict is not None,
+              seed.live[:], seed.forced[:], seed.chain_end[:], seed.n_undecided)
     tracemalloc.start()
     try:
         verdict = decide(graph, seed=seed)
@@ -141,7 +143,8 @@ def test_seeded_search_memory_is_small_and_leaves_the_seed_alone():
         tracemalloc.stop()
     assert verdict.is_hamiltonian and verdict.max_depth == 1271
     assert peak < 5 * 2**20, peak
-    assert (seed.snapshot(), seed.live, seed.forced, seed.chain_end, seed.n_undecided) == before
+    assert (bytes(seed.state), seed.conflict is not None,
+            seed.live, seed.forced, seed.chain_end, seed.n_undecided) == before
 
 
 def test_decide_budget_exhaustion_is_inconclusive():
@@ -189,6 +192,19 @@ def test_propagation_preserves_every_hamiltonian_extension():
         assert not ({e for e, s in enumerate(res.state) if s == DELETED} & on_cycle)
 
 
+class ShuffledQueue(deque):
+    """A work queue that pops a random entry: it rotates by
+    ``rng.randrange(len(self))`` and then pops the front."""
+
+    def __init__(self, rng: random.Random):
+        super().__init__()
+        self.rng = rng
+
+    def popleft(self):
+        self.rotate(-self.rng.randrange(len(self)))
+        return super().popleft()
+
+
 def test_fixpoint_is_order_independent():
     rng = random.Random(424242)
     for trial in range(6):
@@ -196,14 +212,20 @@ def test_fixpoint_is_order_independent():
         if g.n_edges == 0:
             continue
         baseline = propagate(EdgeAssignment.for_graph(g))
-        base_state = baseline.snapshot() if isinstance(baseline, EdgeAssignment) else None
+        base_state = (
+            (bytes(baseline.state), baseline.conflict is not None)
+            if isinstance(baseline, EdgeAssignment)
+            else None
+        )
         for k in range(20):
-            shuffled = propagate(EdgeAssignment.for_graph(g), rng=random.Random(k))
+            asg = EdgeAssignment.for_graph(g)
+            asg.queue = ShuffledQueue(random.Random(k))
+            shuffled = propagate(asg)
             if base_state is None:
                 assert isinstance(shuffled, Contradiction)
             else:
                 assert isinstance(shuffled, EdgeAssignment)
-                assert shuffled.snapshot() == base_state
+                assert (bytes(shuffled.state), shuffled.conflict is not None) == base_state
 
 
 # -- the published case analysis for OTIS(BF(4,6)) --------------------------

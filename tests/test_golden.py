@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from otisham.cli import main
+from otisham.cli import main, sweep_pairs
+from otisham.constructive import key_edges
 from otisham.engine import Contradiction, EdgeAssignment, decide, propagate
 from otisham.topology import gen_bowtie, gen_butterfly, gen_complete, gen_cycle, otis
 
@@ -51,6 +52,7 @@ WITNESS_BASES = {
     "K_4": lambda: gen_complete(4),
     "WBF(3)": lambda: gen_butterfly(3),
 }
+TABLE_MAX_BASE = 45  # key-edge rows of every supported pair with m + n - 1 up to this
 WITNESS_EDGE_CAP = 120  # probe every k-th edge so each graph gets at most this many
 
 
@@ -86,11 +88,19 @@ def ham_build_outputs(workdir: Path) -> dict[str, str]:
 
 def key_edge_outputs(workdir: Path) -> dict[str, str]:
     # even-even pairs are left out: their --emit-key-edges output is not pinned
-    return {
+    out = {
         f"({m},{n})": run_cli("ham-build", "--m", m, "--n", n, "--emit-key-edges", "--json")
         for m, n in BUILD_PAIRS
         if m % 2 or n % 2
     }
+    # the table rows themselves, (cluster, a, b, tag) in order, far past the
+    # CLI cases above
+    out[f"key_edges m+n-1 <= {TABLE_MAX_BASE}"] = "\n".join(
+        f"({m},{n}) {[(ke.cluster, ke.a, ke.b, ke.tag) for ke in key_edges(m, n)]}"
+        for m, n in sweep_pairs(TABLE_MAX_BASE)
+        if m % 2 or n % 2
+    )
+    return out
 
 
 def graph_file_outputs(workdir: Path) -> dict[str, str]:
@@ -150,7 +160,7 @@ def survey_outputs(workdir: Path) -> dict[str, str]:
 def _state_text(res) -> str:
     if isinstance(res, Contradiction):
         return repr(res)
-    return res.snapshot()[0].hex()
+    return bytes(res.state).hex()
 
 
 def witness_outputs(workdir: Path) -> dict[str, str]:
