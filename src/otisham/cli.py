@@ -2,17 +2,16 @@
 
 Exit codes: 0 success / verdict obtained, 2 inconclusive (budget),
 3 verification mismatch, 4 usage error: a bad option, an unreadable or
-malformed input file, a label or pair the graph does not have, or a bad
-OTISHAM_THREADS value, reported as one ``error:`` line.  ``--json`` output is
-byte-identical across runs for identical inputs, budgets and seed;
-timings are printed only in human-readable mode.
+malformed input file, or a label or pair the graph does not have, reported
+as one ``error:`` line.  ``--json`` output is byte-identical across runs for
+identical inputs, budgets and seed; timings are printed only in
+human-readable mode.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from collections import Counter
@@ -36,7 +35,7 @@ from .engine import (
     decide,
 )
 from .graph import Graph, GraphError, cycle_violation, graph_hash
-from .io import read_cycle_certificate, read_edge_list, read_seed, to_dot, write_edge_list
+from .io import read_cycle_certificate, read_edge_list, read_seed, to_dot, write_cycle_certificate, write_edge_list
 from .topology import (
     BowtieParams,
     gen_bowtie,
@@ -53,10 +52,6 @@ EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
 EXIT_MISMATCH = 3
 EXIT_USAGE = 4
-
-
-class UsageError(ValueError):
-    """A setting outside the command line that the program cannot use."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,7 +155,7 @@ def cmd_decide(args) -> int:
     verdict = decide(graph, seed=seed, budget=_budget(args))
     payload = {
         "verdict": verdict.status,
-        "witness": list(verdict.cycle.order) if verdict.cycle else None,
+        "witness": list(verdict.cycle) if verdict.cycle else None,
         "nodes": verdict.nodes,
         "depth": verdict.max_depth,
         "input_hash": graph_hash(graph),
@@ -191,6 +186,9 @@ def cmd_refute_count(args) -> int:
 
 
 def cmd_ham_build(args) -> int:
+    if args.emit_key_edges and (args.dot or args.out):
+        print("error: --emit-key-edges takes neither --dot nor --out", file=sys.stderr)
+        return EXIT_USAGE
     try:
         BowtieParams(args.m, args.n)
     except ValueError as exc:
@@ -229,11 +227,14 @@ def cmd_ham_build(args) -> int:
     if args.dot:
         _write_graph(result.graph, args.out, True)
         return EXIT_OK
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(write_cycle_certificate(result.graph, result.cycle, verified=True) + "\n")
     payload = {
         "m": args.m,
         "n": args.n,
         "class": result.param_class.value,
-        "cycle": list(result.cycle.order),
+        "cycle": list(result.cycle),
         "verified": True,
         "steps": result.steps,
         "graph_hash": graph_hash(result.graph),
@@ -303,10 +304,10 @@ _REPRO_EXPECT = {
 }
 
 
-def reproduce_report(graph_44: Graph | None = None, graph_46: Graph | None = None) -> tuple[dict, list[str]]:
+def reproduce_report() -> tuple[dict, list[str]]:
     """Recompute the headline counts; returns (report, mismatches)."""
-    g44 = graph_44 if graph_44 is not None else otis(gen_bowtie(4, 4))
-    g46 = graph_46 if graph_46 is not None else otis(gen_bowtie(4, 6))
+    g44 = otis(gen_bowtie(4, 4))
+    g46 = otis(gen_bowtie(4, 6))
     census = Counter(g44.degree(v) for v in g44.vertices())
     cert = counting_refutation(g44)
     verdict_44 = decide(g44)
@@ -351,8 +352,7 @@ def sweep_pairs(max_base: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _sweep_one(mn, budget: SearchBudget) -> dict:
-    m, n = mn
+def _sweep_one(m: int, n: int, budget: SearchBudget) -> dict:
     p = BowtieParams.normalized(m, n)
     entry = {"m": p.m, "n": p.n, "class": classify(p.m, p.n).value}
     result = build_ham_cycle(p.m, p.n, budget=budget)
@@ -377,29 +377,12 @@ def _sweep_one(mn, budget: SearchBudget) -> dict:
     return entry
 
 
-def sweep_workers() -> int:
-    """Sweep worker processes: OTISHAM_THREADS (default 1), capped at the
-    CPU count."""
-    text = os.environ.get("OTISHAM_THREADS", "1")
-    if not text.isdecimal() or int(text) < 1:
-        raise UsageError(f"OTISHAM_THREADS must be a positive integer, got {text!r}")
-    return min(int(text), os.cpu_count() or 1)
-
-
 def cmd_sweep(args) -> int:
     if args.max_base < 5:
         print("error: --max-base must be >= 5", file=sys.stderr)
         return EXIT_USAGE
     budget = _budget(args)
-    pairs = sweep_pairs(args.max_base)
-    workers = sweep_workers()
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_sweep_one, pairs, [budget] * len(pairs)))
-    else:
-        entries = [_sweep_one(mn, budget) for mn in pairs]
+    entries = [_sweep_one(m, n, budget) for m, n in sweep_pairs(args.max_base)]
     entries.sort(key=lambda e: (e["m"], e["n"]))
     failed = [e for e in entries if e["status"] == "failed"]
     payload = {
@@ -489,7 +472,7 @@ def main(argv=None) -> int:
     args.t0 = time.perf_counter()
     try:
         return args.fn(args)
-    except (GraphError, UsageError, OSError) as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

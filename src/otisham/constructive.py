@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 
 from .engine import INCONCLUSIVE, Contradiction, EdgeAssignment, SearchBudget, decide, propagate
-from .graph import Graph, HamCycle, is_hamiltonian_cycle
+from .graph import Graph, is_hamiltonian_cycle
 from .topology import BowtieParams, gen_bowtie, otis, otis_label
 
 
@@ -314,7 +314,7 @@ def key_edges(m: int, n: int) -> list[KeyEdge]:
 
 @dataclass(frozen=True)
 class BuildResult:
-    cycle: HamCycle
+    cycle: tuple[str, ...]
     param_class: ParamClass
     steps: int
     graph: Graph
@@ -325,7 +325,6 @@ class FailureReport:
     kind: str  # "unsupported-class" | "contradiction" | "inconclusive" (budget cut)
     param_class: ParamClass
     detail: str
-    contradiction: Contradiction | None = None
 
 
 UNSUPPORTED_CLASS = "unsupported-class"
@@ -350,18 +349,18 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
         )
     graph = otis(gen_bowtie(p.m, p.n))
 
-    def contradiction(detail: str, witness: Contradiction | None = None) -> FailureReport:
-        return FailureReport("contradiction", cls, detail, witness)
+    def contradiction(detail: str) -> FailureReport:
+        return FailureReport("contradiction", cls, detail)
 
     asg = EdgeAssignment.for_graph(graph)
     for ke in key_edges(p.m, p.n):
         asg.seed_delete(otis_label(str(ke.cluster), str(ke.a)),
                         otis_label(str(ke.cluster), str(ke.b)))
         if asg.conflict is not None:
-            return contradiction(f"seeding {ke.tag} already contradicts: {asg.conflict}", asg.conflict)
+            return contradiction(f"seeding {ke.tag} already contradicts: {asg.conflict}")
     result = propagate(asg)
     if isinstance(result, Contradiction):
-        return contradiction(str(result), result)
+        return contradiction(str(result))
     steps = asg.steps
     if asg.n_undecided == 0:
         cycle = asg.extract_cycle()

@@ -27,7 +27,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, HamCycle, is_connected, is_hamiltonian_cycle
+from .graph import Graph, is_connected, is_hamiltonian_cycle
 
 UNDECIDED, FORCED, DELETED = 0, 1, 2
 
@@ -59,7 +59,8 @@ class EdgeAssignment:
     changes logged since a trail mark.  ``steps`` counts elementary engine
     operations (state transitions plus worklist pops); undo does not lower
     it.  ``trail`` is None outside a search, so plain propagation logs
-    nothing.
+    nothing.  A new assignment has a whole-graph rule pass queued, so the
+    first ``run`` visits every vertex ahead of anything a seed schedules.
     """
 
     __slots__ = (
@@ -72,7 +73,6 @@ class EdgeAssignment:
         "n_undecided",
         "conflict",
         "queue",
-        "primed",
         "steps",
         "trail",
         "lo",  # branch cursor: no vertex below it has exactly three live edges
@@ -88,8 +88,7 @@ class EdgeAssignment:
         self.chain_size = [1] * n
         self.n_undecided = m
         self.conflict: Contradiction | None = None
-        self.queue: deque[int] = deque()
-        self.primed = False
+        self.queue = deque(range(n))
         self.steps = 0
         # while a search runs, one record per state transition: the edge id
         # of a deletion or of the forced edge that closes the cycle; for any
@@ -113,7 +112,6 @@ class EdgeAssignment:
         new.n_undecided = self.n_undecided
         new.conflict = self.conflict
         new.queue = deque(self.queue)
-        new.primed = self.primed
         new.steps = 0
         new.trail = None
         new.lo = 0
@@ -323,34 +321,22 @@ class EdgeAssignment:
             q.clear()
         return self.conflict
 
-    def prime(self) -> None:
-        """Schedule a whole-graph rule pass.
-
-        Later calls are no-ops: once an assignment has been through a full
-        pass, only vertices touched since then need revisiting.
-        """
-        if self.primed:
-            return
-        self.queue.extendleft(reversed(range(self.graph.n_vertices)))
-        self.primed = True
-
     def is_complete(self) -> bool:
         return self.conflict is None and self.n_undecided == 0
 
-    def extract_cycle(self) -> HamCycle:
+    def extract_cycle(self) -> tuple[str, ...]:
         if not self.is_complete():
             raise ValueError("assignment is not a completed cycle")
         order = self._walk_chain(0)
         if len(order) != self.graph.n_vertices:
             raise ValueError("forced edges do not cover every vertex")
         lab = self.graph.labels
-        return HamCycle(order=tuple(lab[k] for k in order))
+        return tuple(lab[k] for k in order)
 
 
 def propagate(assignment: EdgeAssignment):
     """Run the rules to fixpoint.  Returns the assignment, or the first
     Contradiction encountered."""
-    assignment.prime()
     conflict = assignment.run()
     return conflict if conflict is not None else assignment
 
@@ -369,7 +355,7 @@ INCONCLUSIVE = "inconclusive"
 @dataclass(frozen=True)
 class HamVerdict:
     status: str
-    cycle: HamCycle | None = None
+    cycle: tuple[str, ...] | None = None
     nodes: int = 0
     max_depth: int = 0
     steps: int = 0  # total propagation steps over the whole search
@@ -435,7 +421,6 @@ def decide(
     if seed is not None and seed.graph is not graph:
         raise ValueError("seed assignment was built for a different graph")
     asg = seed.copy() if seed is not None else EdgeAssignment.for_graph(graph)
-    asg.prime()
     trail = asg.trail = []
     t0 = time.monotonic()
     nodes = 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass
 
 
 class GraphError(ValueError):
@@ -141,20 +140,8 @@ def graph_hash(graph: Graph) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class HamCycle:
-    """Cyclic vertex order certified against a host graph."""
-
-    order: tuple[str, ...]
-
-    def __len__(self):
-        return len(self.order)
-
-
 def cycle_violation(graph: Graph, order) -> str | None:
     """Why ``order`` is not a Hamiltonian cycle of ``graph`` (None if it is)."""
-    if isinstance(order, HamCycle):
-        order = order.order
     order = list(order)
     if len(order) != graph.n_vertices:
         return "length-mismatch"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 
-from .graph import Graph, GraphError, HamCycle, graph_hash, is_hamiltonian_cycle
+from .graph import Graph, GraphError, graph_hash, is_hamiltonian_cycle
 
 
 def write_edge_list(graph: Graph) -> str:
@@ -97,7 +97,7 @@ def to_dot(graph: Graph) -> str:
 
 
 def write_cycle_certificate(graph: Graph, cycle, *, verified: bool | None = None) -> str:
-    order = list(cycle.order if isinstance(cycle, HamCycle) else cycle)
+    order = list(cycle)
     if verified is None:
         verified = is_hamiltonian_cycle(graph, order)
     payload = {"graph_hash": graph_hash(graph), "order": order, "verified": verified}

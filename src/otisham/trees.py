@@ -7,9 +7,10 @@ root paths share no interior vertex.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, HamCycle
+from .graph import Graph, GraphError
 
 
 @dataclass(frozen=True)
@@ -29,9 +30,12 @@ class TreePair:
 def build_ists(cycle, root: str) -> TreePair:
     """Spanning tree pair: drop (root, successor) for the first tree and
     (predecessor, root) for the second."""
-    order = list(cycle.order if isinstance(cycle, HamCycle) else cycle)
+    order = list(cycle)
     if len(order) < 3:
         raise GraphError(f"a cycle needs at least 3 vertices, got {len(order)}")
+    if len(set(order)) < len(order):
+        repeated = next(v for v, count in Counter(order).items() if count > 1)
+        raise GraphError(f"vertex {repeated!r} appears more than once in the cycle")
     if root not in order:
         raise GraphError(f"root {root!r} does not appear in the cycle")
     k = order.index(root)

@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from otisham.cli import sweep_pairs
 from otisham.constructive import BuildResult, build_ham_cycle, key_edges
 from otisham.engine import Contradiction, EdgeAssignment, propagate
-from otisham.graph import Graph, HamCycle, _eccentricity
+from otisham.graph import Graph, _eccentricity
 from otisham.topology import (
     BowtieParams,
     gen_bowtie,
@@ -133,9 +133,8 @@ def diameter(graph: Graph) -> int:
     return worst
 
 
-def edge_set(cycle: HamCycle) -> set[tuple[str, str]]:
+def edge_set(order: tuple[str, ...]) -> set[tuple[str, str]]:
     """The cycle's edges as label pairs, lower label first."""
-    order = cycle.order
     return {(u, v) if u < v else (v, u) for u, v in zip(order, order[1:] + order[:1])}
 
 

@@ -63,7 +63,6 @@ def decide(
     if seed is not None and seed.graph is not graph:
         raise ValueError("seed assignment was built for a different graph")
     root = seed.copy() if seed is not None else EdgeAssignment.for_graph(graph)
-    root.prime()
     t0 = time.monotonic()
     nodes = 0
     max_depth = 0

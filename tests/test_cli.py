@@ -116,6 +116,23 @@ def test_ham_build_and_verify_and_ist(tmp_path):
     assert ist["independent"] is True and ist["edge_disjoint"] is True
 
 
+def test_ham_build_out_writes_a_certificate(tmp_path):
+    cert = tmp_path / "c.json"
+    built = run("ham-build", "--m", "7", "--n", "7", "--out", str(cert), "--json").stdout
+    assert built == run("ham-build", "--m", "7", "--n", "7", "--json").stdout
+    payload = json.loads(built)
+    assert json.loads(cert.read_text()) == {
+        "graph_hash": payload["graph_hash"], "order": payload["cycle"], "verified": True}
+    base = tmp_path / "b77.el"
+    base.write_text(run("gen", "bowtie", "--m", "7", "--n", "7").stdout)
+    net = tmp_path / "o77.el"
+    net.write_text(run("otis", "--in", str(base)).stdout)
+    verify = json.loads(run("verify", "--in", str(net), "--cycle", str(cert), "--json").stdout)
+    assert verify["hash_match"] and verify["valid_cycle"]
+    ist = json.loads(run("ist", "--cycle", str(cert), "--root", "7:7", "--in", str(net), "--json").stdout)
+    assert ist["independent"] is True
+
+
 def test_verify_detects_mismatch(tmp_path):
     el = tmp_path / "c4.el"
     el.write_text(run("gen", "cycle", "--k", "4").stdout)
@@ -188,16 +205,19 @@ def test_reproduce_matches_published_counts():
     assert payload["total_bound"] == 29
 
 
-def test_reproduce_rejects_tampered_generator():
-    from otisham.cli import reproduce_report
-    from otisham.topology import gen_bowtie, otis
+def test_reproduce_rejects_tampered_generator(monkeypatch):
+    from otisham import cli
     from otisham.graph import Graph
 
-    tampered = otis(gen_bowtie(4, 4))
-    broken = Graph.from_edges(
-        [e for e in tampered.edges()][:-1], vertices=tampered.vertices()
-    )
-    report, mismatches = reproduce_report(graph_44=broken)
+    otis = cli.otis
+
+    def tampered(base):
+        """The OTIS network of ``base`` less its last edge."""
+        net = otis(base)
+        return Graph.from_edges(net.edges()[:-1], vertices=net.vertices())
+
+    monkeypatch.setattr(cli, "otis", tampered)
+    report, mismatches = cli.reproduce_report()
     assert mismatches  # the command would exit 3
 
 
@@ -238,42 +258,42 @@ def test_emit_key_edges_small_figure_seeds_no_table_edges(m, n):
 
 C4_SEED_CERT = {"graph_hash": "x", "order": ["1", "2", "3", "4"], "verified": True}
 
-# (argv with {graph}/{file} placeholders, text of {file}, environment overrides)
+# (argv with {graph}/{file} placeholders, text of {file})
 BAD_INPUTS = {
-    "cycle length below 3": (["ham-build", "--m", "2", "--n", "5"], None, {}),
-    "zero node budget": (["decide", "--in", "{graph}", "--budget-nodes", "0"], None, {}),
-    "zero time budget": (["decide", "--in", "{graph}", "--budget-secs", "0"], None, {}),
-    "negative build budget": (["ham-build", "--m", "3", "--n", "5", "--budget-nodes", "-1"], None, {}),
-    "seed with an unknown label": (["decide", "--in", "{graph}", "--seed", "{file}"], '{"forced": [["1", "9"]]}', {}),
-    "seed with a non-edge": (["decide", "--in", "{graph}", "--seed", "{file}"], '{"deleted": [["1", "3"]]}', {}),
-    "seed that is a list": (["decide", "--in", "{graph}", "--seed", "{file}"], '[["1", "2"]]', {}),
-    "seed that is not JSON": (["decide", "--in", "{graph}", "--seed", "{file}"], '{"forced": [', {}),
-    "seed with an unknown key": (["decide", "--in", "{graph}", "--seed", "{file}"], '{"force": []}', {}),
-    "ist certificate not JSON": (["ist", "--cycle", "{file}", "--root", "1"], "not json", {}),
-    "verify certificate not JSON": (["verify", "--in", "{graph}", "--cycle", "{file}"], "not json", {}),
+    "cycle length below 3": (["ham-build", "--m", "2", "--n", "5"], None),
+    "zero node budget": (["decide", "--in", "{graph}", "--budget-nodes", "0"], None),
+    "zero time budget": (["decide", "--in", "{graph}", "--budget-secs", "0"], None),
+    "negative build budget": (["ham-build", "--m", "3", "--n", "5", "--budget-nodes", "-1"], None),
+    "seed with an unknown label": (["decide", "--in", "{graph}", "--seed", "{file}"], '{"forced": [["1", "9"]]}'),
+    "seed with a non-edge": (["decide", "--in", "{graph}", "--seed", "{file}"], '{"deleted": [["1", "3"]]}'),
+    "seed that is a list": (["decide", "--in", "{graph}", "--seed", "{file}"], '[["1", "2"]]'),
+    "seed that is not JSON": (["decide", "--in", "{graph}", "--seed", "{file}"], '{"forced": ['),
+    "seed with an unknown key": (["decide", "--in", "{graph}", "--seed", "{file}"], '{"force": []}'),
+    "ist certificate not JSON": (["ist", "--cycle", "{file}", "--root", "1"], "not json"),
+    "verify certificate not JSON": (["verify", "--in", "{graph}", "--cycle", "{file}"], "not json"),
     "certificate order is a string": (
-        ["ist", "--cycle", "{file}", "--root", "a"], json.dumps(C4_SEED_CERT | {"order": "abc"}), {}),
+        ["ist", "--cycle", "{file}", "--root", "a"], json.dumps(C4_SEED_CERT | {"order": "abc"})),
     "certificate of one vertex": (
-        ["ist", "--cycle", "{file}", "--root", "a"], json.dumps(C4_SEED_CERT | {"order": ["a"]}), {}),
-    "threads not a number": (["sweep", "--max-base", "5"], None, {"OTISHAM_THREADS": "abc"}),
-    "threads zero": (["sweep", "--max-base", "5"], None, {"OTISHAM_THREADS": "0"}),
-    "graph path is a directory": (["decide", "--in", "{dir}"], None, {}),
-    "OTIS base of one vertex": (["otis", "--in", "{file}"], "V 1\na\n", {}),
-    "OTIS base of no vertex": (["otis", "--in", "{file}"], "V 0\n", {}),
-    "vertex count line with a trailing token": (["decide", "--in", "{file}"], "V 2 x\n1 2\n", {}),
+        ["ist", "--cycle", "{file}", "--root", "a"], json.dumps(C4_SEED_CERT | {"order": ["a"]})),
+    "certificate that repeats a vertex": (
+        ["ist", "--cycle", "{file}", "--root", "a"], json.dumps(C4_SEED_CERT | {"order": list("abcade")})),
+    "key edges to a file": (["ham-build", "--m", "7", "--n", "7", "--emit-key-edges", "--out", "{file}"], None),
+    "key edges as DOT": (["ham-build", "--m", "7", "--n", "7", "--emit-key-edges", "--dot"], None),
+    "graph path is a directory": (["decide", "--in", "{dir}"], None),
+    "OTIS base of one vertex": (["otis", "--in", "{file}"], "V 1\na\n"),
+    "OTIS base of no vertex": (["otis", "--in", "{file}"], "V 0\n"),
+    "vertex count line with a trailing token": (["decide", "--in", "{file}"], "V 2 x\n1 2\n"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_fails_closed(case, tmp_path, monkeypatch):
-    argv, text, env = BAD_INPUTS[case]
+def test_bad_input_fails_closed(case, tmp_path):
+    argv, text = BAD_INPUTS[case]
     graph = tmp_path / "c4.el"
     graph.write_text("V 4\n1 2\n2 3\n3 4\n4 1\n")
     file = tmp_path / "input.json"
     if text is not None:
         file.write_text(text)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     argv = [a.format(graph=graph, file=file, dir=tmp_path) for a in argv]
     proc = run(*argv, "--json", check=False)
     assert proc.returncode == 4, proc.stderr
@@ -281,14 +301,3 @@ def test_bad_input_fails_closed(case, tmp_path, monkeypatch):
     errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1 and "Traceback" not in proc.stderr, proc.stderr
 
-
-def test_sweep_workers_clamped_to_cpu_count(monkeypatch):
-    from otisham import cli
-
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.delenv("OTISHAM_THREADS", raising=False)
-    assert cli.sweep_workers() == 1
-    monkeypatch.setenv("OTISHAM_THREADS", "2")
-    assert cli.sweep_workers() == 2
-    monkeypatch.setenv("OTISHAM_THREADS", "4096")
-    assert cli.sweep_workers() == 2

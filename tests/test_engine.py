@@ -90,7 +90,7 @@ def test_chord_rule_preempts_explicit_subcycle():
 def test_decide_cycle_and_simple_graphs():
     v = decide(gen_cycle(5))
     assert v.is_hamiltonian
-    assert list(v.cycle.order) == ["1", "2", "3", "4", "5"]
+    assert list(v.cycle) == ["1", "2", "3", "4", "5"]
     assert decide(gen_path(4)).status == "non-hamiltonian"
     assert decide(gen_complete(6)).is_hamiltonian
 
@@ -193,11 +193,11 @@ def test_propagation_preserves_every_hamiltonian_extension():
 
 
 class ShuffledQueue(deque):
-    """A work queue that pops a random entry: it rotates by
-    ``rng.randrange(len(self))`` and then pops the front."""
+    """A work queue, holding ``queue``'s entries, that pops a random entry:
+    it rotates by ``rng.randrange(len(self))`` and then pops the front."""
 
-    def __init__(self, rng: random.Random):
-        super().__init__()
+    def __init__(self, queue: deque, rng: random.Random):
+        super().__init__(queue)
         self.rng = rng
 
     def popleft(self):
@@ -219,7 +219,7 @@ def test_fixpoint_is_order_independent():
         )
         for k in range(20):
             asg = EdgeAssignment.for_graph(g)
-            asg.queue = ShuffledQueue(random.Random(k))
+            asg.queue = ShuffledQueue(asg.queue, random.Random(k))
             shuffled = propagate(asg)
             if base_state is None:
                 assert isinstance(shuffled, Contradiction)

@@ -175,7 +175,6 @@ def witness_outputs(workdir: Path) -> dict[str, str]:
         for u, v in edges[:: max(1, len(edges) // WITNESS_EDGE_CAP)]:
             for action in ("seed_force", "seed_delete"):
                 asg = EdgeAssignment.for_graph(graph)
-                asg.prime()
                 asg.run()
                 getattr(asg, action)(u, v)
                 res = asg.conflict if asg.conflict is not None else propagate(asg)

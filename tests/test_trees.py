@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from otisham.constructive import BuildResult, build_ham_cycle
-from otisham.graph import Graph, GraphError, HamCycle
+from otisham.graph import Graph, GraphError
 from otisham.topology import gen_bowtie, gen_cycle, otis
 from otisham.trees import TreePair, build_ists, independence_report
 
@@ -12,7 +12,7 @@ from ist_reference import is_spanning_tree, tree_edges
 
 
 def test_c5_tree_pair_matches_arc_structure():
-    pair = build_ists(HamCycle(("1", "2", "3", "4", "5")), "1")
+    pair = build_ists(("1", "2", "3", "4", "5"), "1")
     # first tree drops (1,2): path 1-5-4-3-2
     assert pair.omitted_edge_1 == ("1", "2")
     assert pair.parent1 == {"5": "1", "4": "5", "3": "4", "2": "3"}
@@ -25,18 +25,24 @@ def test_c5_tree_pair_matches_arc_structure():
 def test_c3_any_root():
     c3 = gen_cycle(3)
     for root in "123":
-        pair = build_ists(HamCycle(("1", "2", "3")), root)
+        pair = build_ists(("1", "2", "3"), root)
         assert independence_report(pair, c3).vertex_disjoint
 
 
 def test_root_must_be_on_cycle():
     with pytest.raises(GraphError):
-        build_ists(HamCycle(("1", "2", "3")), "9")
+        build_ists(("1", "2", "3"), "9")
+
+
+def test_cycle_must_not_repeat_a_vertex():
+    # a-b-c-a-d-e-a walks the bowtie, but visits its cut vertex a twice
+    with pytest.raises(GraphError, match="'a' appears more than once"):
+        build_ists(tuple("abcade"), "a")
 
 
 def test_identical_trees_are_not_independent():
     c5 = gen_cycle(5)
-    pair = build_ists(HamCycle(("1", "2", "3", "4", "5")), "1")
+    pair = build_ists(("1", "2", "3", "4", "5"), "1")
     forged = TreePair(
         root=pair.root,
         parent1=pair.parent2,
@@ -48,7 +54,7 @@ def test_identical_trees_are_not_independent():
 
 
 def test_tree_edges_must_exist_in_graph():
-    pair = build_ists(HamCycle(("1", "2", "3", "4")), "1")
+    pair = build_ists(("1", "2", "3", "4"), "1")
     report = independence_report(pair, gen_cycle(5))  # wrong graph
     assert not report.vertex_disjoint
 
@@ -64,7 +70,7 @@ def test_cycle_tree_pairs_always_independent(k, seed):
     for j, u in enumerate(order):
         g.add_edge(u, order[(j + 1) % k])
     root = rng.choice(order)
-    pair = build_ists(HamCycle(tuple(order)), root)
+    pair = build_ists(tuple(order), root)
     report = independence_report(pair, g)
     assert report.vertex_disjoint and report.edge_disjoint
     assert is_spanning_tree(pair.parent1, root, g)
