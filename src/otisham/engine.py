@@ -3,16 +3,15 @@
 Every edge of a host graph carries one of three states: undecided, forced
 (must lie on the cycle) or deleted (cannot).  Three rules run to fixpoint:
 
-* saturation: a vertex with two forced edges deletes its other edges;
-* two-live: a vertex left with exactly two usable edges forces both;
-* chord cut: an undecided edge joining the two ends of one forced path is
-  deleted whenever forcing it would close a cycle shorter than |V|.
+* saturation, in ``_force``: two forced edges at a vertex delete its others;
+* chord cut, in ``_force``: a merge that leaves a forced path shorter than
+  |V| deletes the undecided edge joining the path's two ends;
+* two-live, in ``run``: a popped vertex left with two usable edges forces both.
 
-Rules are applied in first-in-first-out order, with the whole-graph
-pass scheduled ahead of any seeded edges, so consequences spread outward
-from a seed in waves over a fully saturated baseline -- the order a hand
-derivation follows.  The fixpoint is order-independent; only which
-witness of an inconsistent state gets reported first depends on it.
+Vertices are popped first-in-first-out, the whole-graph pass ahead of any
+seed, so consequences spread outward from a seed in waves -- the order a
+hand derivation follows.  The fixpoint is order-independent; only which
+witness of an inconsistent state is reported first depends on it.
 
 A complete decider searches over the undecided edges with this propagation
 as the pruning engine, and a counting refuter certifies non-Hamiltonicity
@@ -61,6 +60,10 @@ class EdgeAssignment:
     it.  ``trail`` is None outside a search, so plain propagation logs
     nothing.  A new assignment has a whole-graph rule pass queued, so the
     first ``run`` visits every vertex ahead of anything a seed schedules.
+
+    Saturation and the chord cut fire in ``_force``: outside a conflict,
+    ``forced <= 2``, ``forced == 2`` implies ``live == 2``, and no undecided
+    edge joins the two ends of a forced chain shorter than |V|.
     """
 
     __slots__ = (
@@ -174,23 +177,11 @@ class EdgeAssignment:
             v = a if self.forced[a] >= 2 or self.live[a] <= 2 else b
             self.conflict = Contradiction(VERTEX_OVERFILLED, vertex=lab[v])
             return
-        if self.forced[a] >= 2:
-            self.conflict = Contradiction(VERTEX_OVERFILLED, vertex=lab[a])
-            return
-        if self.forced[b] >= 2:
-            self.conflict = Contradiction(VERTEX_OVERFILLED, vertex=lab[b])
-            return
         end_a, end_b = self.chain_end[a], self.chain_end[b]
         n = len(lab)
-        # closing the chain that already joins a and b: only the Hamiltonian
-        # cycle gets past this check, after which every vertex is saturated
-        # and no edge is forced again
+        # closing the chain that already joins a and b closes the Hamiltonian
+        # cycle: a shorter chain's chord was deleted when the chain formed
         closing = end_a == b
-        if closing:
-            size = self.chain_size[a]
-            if size < n:
-                self._cycle_conflict(eid, a, size)
-                return
         self.state[eid] = FORCED
         self.steps += 1
         self.n_undecided -= 1
@@ -221,9 +212,7 @@ class EdgeAssignment:
                         # cycle, the real obstruction
                         self._cycle_conflict(chord, end_a, merged)
                         return
-                    self._delete(chord)
-                    if self.conflict is not None:
-                        return
+                    self._delete(chord)  # both ends keep two live edges
         # saturation applies the moment a vertex owns two cycle edges
         for v in (a, b):
             if self.forced[v] == 2:
@@ -291,32 +280,17 @@ class EdgeAssignment:
         self.conflict = None
         self.queue.clear()
 
-    def _apply_rules(self, v: int) -> None:
-        incident = self.graph.incident[v]
-        if self.forced[v] == 2:
-            # saturation: drop every other incident edge
-            for eid in incident:
-                if self.state[eid] == UNDECIDED:
-                    self._delete(eid)
-                    if self.conflict is not None:
-                        return
-        elif self.live[v] == 2:
-            # two-live: both remaining edges must be on the cycle
-            for eid in incident:
-                if self.state[eid] == UNDECIDED:
-                    self._force(eid)
-                    if self.conflict is not None:
-                        return
-
     def run(self) -> Contradiction | None:
-        """Apply rules until fixpoint or contradiction."""
-        q, forced, live = self.queue, self.forced, self.live
+        """Apply the two-live rule until fixpoint or contradiction."""
+        q, forced, live, state = self.queue, self.forced, self.live, self.state
         while q and self.conflict is None:
             v = q.popleft()
             self.steps += 1
-            f, n_live = forced[v], live[v]
-            if n_live > f and (f == 2 or n_live == 2):  # a rule settles an undecided edge
-                self._apply_rules(v)
+            if live[v] == 2 and forced[v] < 2:
+                # two-live: both remaining edges must be on the cycle
+                for eid in self.graph.incident[v]:
+                    if state[eid] == UNDECIDED:
+                        self._force(eid)
         if self.conflict is not None:
             q.clear()
         return self.conflict

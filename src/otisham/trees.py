@@ -15,16 +15,12 @@ from .graph import Graph, GraphError
 
 @dataclass(frozen=True)
 class TreePair:
-    """Two spanning trees as child-to-parent maps rooted at ``root``.
-
-    Each tree is the source cycle minus one of the root's two cycle
-    edges; the omitted edges record which."""
+    """Two spanning trees as child-to-parent maps rooted at ``root``, each
+    the source cycle minus one of the root's two cycle edges."""
 
     root: str
     parent1: dict[str, str]
     parent2: dict[str, str]
-    omitted_edge_1: tuple[str, str]
-    omitted_edge_2: tuple[str, str]
 
 
 def build_ists(cycle, root: str) -> TreePair:
@@ -41,18 +37,11 @@ def build_ists(cycle, root: str) -> TreePair:
     k = order.index(root)
     order = order[k:] + order[:k]  # root first
     n = len(order)
-    succ, pred = order[1], order[-1]
     # tree 1: walk against the cycle direction (root adopts its predecessor)
     parent1 = {order[j]: order[(j + 1) % n] for j in range(1, n)}
     # tree 2: walk along the cycle direction
     parent2 = {order[j]: order[j - 1] for j in range(1, n)}
-    return TreePair(
-        root=root,
-        parent1=parent1,
-        parent2=parent2,
-        omitted_edge_1=(root, succ),
-        omitted_edge_2=(pred, root),
-    )
+    return TreePair(root, parent1, parent2)
 
 
 @dataclass(frozen=True)
@@ -62,15 +51,13 @@ class IndependenceReport:
     first_violation: str | None = None
 
 
-
 def _preorder(par: list[int], root: int | None) -> list[int]:
     """Vertex indices reachable from ``root`` along child links, in a
     preorder, so that every subtree is one contiguous run.  A vertex whose
-    parent chain breaks or loops before the root is left out; ``root``'s
-    own parent, if it has one, is ignored."""
+    parent chain breaks or loops before the root is left out."""
     children: list[list[int]] = [[] for _ in par]
     for x, p in enumerate(par):
-        if p >= 0 and x != root:
+        if p >= 0:
             children[p].append(x)
     order = []
     stack = [] if root is None else [root]
@@ -116,6 +103,8 @@ def independence_report(pair: TreePair, graph: Graph) -> IndependenceReport:
                 return IndependenceReport(False, False, f"tree edge {child}-{p} not in graph")
             par[index[child]] = index[p]
         pars.append(par)
+    if pair.root in pair.parent1 or pair.root in pair.parent2:
+        return IndependenceReport(False, False, f"root {pair.root} has a parent")
     par1, par2 = pars
     r = index.get(pair.root)
     order1, order2 = _preorder(par1, r), _preorder(par2, r)

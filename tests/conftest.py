@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from otisham.cli import sweep_pairs
 from otisham.constructive import BuildResult, build_ham_cycle, key_edges
-from otisham.engine import Contradiction, EdgeAssignment, propagate
+from otisham.engine import DELETED, FORCED, UNDECIDED, Contradiction, EdgeAssignment, propagate
 from otisham.graph import Graph, _eccentricity
 from otisham.topology import (
     BowtieParams,
@@ -112,6 +112,42 @@ def staged_propagation(graph, stages):
         if isinstance(res, Contradiction):
             return res, k
     return asg, None
+
+
+def assert_fixpoint_invariants(asg: EdgeAssignment) -> None:
+    """The invariants that let the engine apply saturation and the chord cut
+    only in ``_force``, recounted from the edge states at a conflict-free
+    fixpoint: every vertex has at most two forced edges, a vertex with two
+    has no other live edge, and no undecided edge joins the two ends of a
+    forced chain shorter than |V|."""
+    graph, state = asg.graph, asg.state
+    n = graph.n_vertices
+    assert asg.conflict is None and not asg.queue
+    forced, live = [0] * n, [0] * n
+    for eid, (a, b) in enumerate(graph.ends):
+        for v in (a, b):
+            forced[v] += state[eid] == FORCED
+            live[v] += state[eid] != DELETED
+    assert (forced, live) == (asg.forced, asg.live)
+    for v in range(n):
+        assert forced[v] <= 2, f"{graph.labels[v]} has {forced[v]} forced edges"
+        assert forced[v] < 2 or live[v] == 2, f"{graph.labels[v]} is saturated with {live[v]} live edges"
+    for start in range(n):
+        if forced[start] != 1:
+            continue
+        # walk the forced chain from one of its ends to the other
+        prev, cur, size = -1, start, 1
+        while True:
+            step = [w for eid in graph.incident[cur] if state[eid] == FORCED
+                    for w in graph.ends[eid] if w not in (cur, prev)]
+            if not step:
+                break
+            prev, cur, size = cur, step[0], size + 1
+        chord = graph.edge_id.get((min(start, cur), max(start, cur)))
+        if size < n and chord is not None:
+            assert state[chord] != UNDECIDED, (
+                f"chain {graph.labels[start]}..{graph.labels[cur]} of {size} < {n} vertices keeps its chord"
+            )
 
 
 # the published OTIS(BF(4,6)) case analysis: the consistent main line

@@ -33,6 +33,8 @@ def independence_report(pair: TreePair, graph: Graph) -> IndependenceReport:
         for child, par in parent.items():
             if not graph.has_edge(child, par):
                 return IndependenceReport(False, False, f"tree edge {child}-{par} not in graph")
+    if pair.root in pair.parent1 or pair.root in pair.parent2:
+        return IndependenceReport(False, False, f"root {pair.root} has a parent")
     vertex_ok = True
     edge_ok = True
     violation = None

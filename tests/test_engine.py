@@ -4,6 +4,7 @@ from collections import deque
 
 import pytest
 
+from otisham import engine
 from otisham.engine import (
     Contradiction,
     DELETED,
@@ -20,7 +21,7 @@ from otisham.engine import (
 from otisham.graph import Graph, is_hamiltonian_cycle
 from otisham.topology import gen_bowtie, gen_complete, gen_cycle, gen_path, otis
 
-from conftest import MAIN_LINE, random_graph, staged_propagation, table_seed
+from conftest import MAIN_LINE, assert_fixpoint_invariants, random_graph, staged_propagation, table_seed
 from ham_oracle import oracle_all_cycles, oracle_is_hamiltonian
 
 
@@ -226,6 +227,61 @@ def test_fixpoint_is_order_independent():
             else:
                 assert isinstance(shuffled, EdgeAssignment)
                 assert (bytes(shuffled.state), shuffled.conflict is not None) == base_state
+                assert_fixpoint_invariants(shuffled)
+
+
+def test_invariants_hold_at_every_fixpoint(monkeypatch):
+    # random graphs of 3-12 vertices under random seeds of force and delete
+    # pairs, some of them repeated or conflicting; the invariants are checked
+    # at each conflict-free seeded fixpoint and at every node the search
+    # branches on, after forced branches, deleted branches and undos alike
+    branch_edge = engine._branch_edge
+    nodes = 0
+
+    def checked(asg):
+        nonlocal nodes
+        nodes += 1
+        assert_fixpoint_invariants(asg)
+        return branch_edge(asg)
+
+    monkeypatch.setattr(engine, "_branch_edge", checked)
+    rng = random.Random(20261018)
+    fixpoints = 0
+    for _ in range(4000):
+        g = random_graph(rng, max_vertices=12)
+        if g.n_vertices < 3 or g.n_edges == 0:
+            continue
+        edges = g.edges()
+        seed = EdgeAssignment(g)
+        pairs = []
+        for _ in range(rng.randint(0, 6)):
+            pair = rng.choice(pairs) if pairs and rng.random() < 0.3 else rng.choice(edges)
+            pairs.append(pair)
+            (seed.seed_force if rng.random() < 0.5 else seed.seed_delete)(*pair)
+        if isinstance(propagate(seed), EdgeAssignment):
+            assert_fixpoint_invariants(seed)
+            fixpoints += 1
+        decide(g, seed=seed, budget=SearchBudget(max_nodes=rng.choice((1, 3, 50, 10**6))))
+    assert fixpoints > 1000 and nodes > 2500, (fixpoints, nodes)
+
+
+@pytest.mark.parametrize(
+    "m,n,forced,deleted",
+    [(4, 6, ("4:3", "4:4"), ("4:1", "4:4")), (3, 4, ("1:4", "1:5"), ("4:2", "4:3"))],
+)
+def test_repeated_seed_pairs_change_nothing(m, n, forced, deleted):
+    # forcing a forced edge and deleting a deleted one are no-ops: a seed
+    # file that lists each pair twice searches as one that lists it once
+    graph = otis(gen_bowtie(m, n))
+    verdicts = []
+    for repeats in (1, 2):
+        seed = EdgeAssignment(graph)
+        for _ in range(repeats):
+            seed.seed_force(*forced)
+        for _ in range(repeats):
+            seed.seed_delete(*deleted)
+        verdicts.append(decide(graph, seed=seed))
+    assert verdicts[0] == verdicts[1] and verdicts[0].nodes > 1
 
 
 # -- the published case analysis for OTIS(BF(4,6)) --------------------------

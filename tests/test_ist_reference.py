@@ -62,7 +62,7 @@ def cycle_pair(rng: random.Random, k_max: int = 14) -> tuple[TreePair, Graph, li
 
 
 def with_parents(pair: TreePair, parent1: dict, parent2: dict) -> TreePair:
-    return TreePair(pair.root, parent1, parent2, pair.omitted_edge_1, pair.omitted_edge_2)
+    return TreePair(pair.root, parent1, parent2)
 
 
 def independent(rng):
@@ -75,7 +75,7 @@ def shared_interior(rng):
     # vertices more often than not
     graph, order = cycle_graph(rng, rng.randint(4, 14))
     root = rng.choice(order)
-    return TreePair(root, random_tree(rng, graph, root), random_tree(rng, graph, root), ("", ""), ("", "")), graph
+    return TreePair(root, random_tree(rng, graph, root), random_tree(rng, graph, root)), graph
 
 
 def shared_edge_only(rng):
@@ -124,9 +124,19 @@ def missing_edge(rng):
     return with_parents(pair, *parents), graph
 
 
+def root_with_parent(rng):
+    # an otherwise valid pair whose root hangs off a neighbour in one or both
+    # trees, which makes that tree's edges a cycle rather than a tree
+    pair, graph = independent(rng) if rng.random() < 0.5 else shared_interior(rng)
+    parents = [dict(pair.parent1), dict(pair.parent2)]
+    for parent in rng.sample(parents, rng.randint(1, 2)):
+        parent[pair.root] = rng.choice(graph.neighbors(pair.root))
+    return with_parents(pair, *parents), graph
+
+
 def root_outside_graph(rng):
     pair, graph, _ = cycle_pair(rng)
-    return TreePair("zz", pair.parent1, pair.parent2, pair.omitted_edge_1, pair.omitted_edge_2), graph
+    return TreePair("zz", pair.parent1, pair.parent2), graph
 
 
 KINDS = {
@@ -135,6 +145,7 @@ KINDS = {
     "shared edge only": shared_edge_only,
     "broken or looping chain": broken_chain,
     "tree edge not in graph": missing_edge,
+    "root with a parent": root_with_parent,
     "root outside the graph": root_outside_graph,
 }
 
@@ -143,7 +154,7 @@ def outcome(report) -> str:
     """The verdict kind, so each generator can be shown to reach its case."""
     if report.first_violation is None:
         return f"vertex={report.vertex_disjoint} edge={report.edge_disjoint}"
-    return report.first_violation.split(" ")[0]  # 'tree', 'no' or 'paths'
+    return report.first_violation.split(" ")[0]  # 'tree', 'root', 'no' or 'paths'
 
 
 EXPECTED = {
@@ -152,6 +163,7 @@ EXPECTED = {
     "shared edge only": "vertex=True edge=False",
     "broken or looping chain": "no",
     "tree edge not in graph": "tree",
+    "root with a parent": "root",
     "root outside the graph": "no",
 }
 
@@ -169,7 +181,7 @@ def test_random_tree_pairs_match(kind):
 def test_degenerate_graphs_match():
     # no vertices, the root alone, and one vertex that is not the root
     graphs = [Graph(), Graph.from_edges([], vertices=["a"]), Graph.from_edges([], vertices=["b"])]
-    for pair in (build_ists(["a", "b", "c"], "a"), TreePair("a", {}, {}, ("", ""), ("", ""))):
+    for pair in (build_ists(["a", "b", "c"], "a"), TreePair("a", {}, {})):
         for graph in graphs:
             assert_same_report(pair, graph)
 

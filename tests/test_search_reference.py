@@ -4,7 +4,9 @@ Both must agree on status, cycle, node count, depth, steps and reason:
 the trail search branches in the same order and counts the same work.
 """
 
+import itertools
 import random
+import time
 
 import pytest
 
@@ -62,6 +64,18 @@ def test_random_graph_searches_match():
 def test_budget_cut_searches_match(max_nodes):
     verdict = assert_same_verdict(otis(gen_bowtie(6, 8)), budget=SearchBudget(max_nodes=max_nodes))
     assert verdict.status == "inconclusive" and verdict.nodes == max_nodes
+
+
+def test_time_budget_cut_searches_match(monkeypatch):
+    # a clock that advances one second per reading runs out of a 5.5 s
+    # budget at the sixth check, after five nodes
+    verdicts = []
+    for search in (decide, search_reference.decide):
+        monkeypatch.setattr(time, "monotonic", itertools.count().__next__)
+        verdicts.append(search(otis(gen_bowtie(6, 8)), budget=SearchBudget(max_seconds=5.5)))
+    got, want = verdicts
+    assert got == want
+    assert got.status == "inconclusive" and got.reason == "time-budget" and got.nodes == 5
 
 
 def _seeded_sweeps():

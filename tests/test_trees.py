@@ -14,10 +14,8 @@ from ist_reference import is_spanning_tree, tree_edges
 def test_c5_tree_pair_matches_arc_structure():
     pair = build_ists(("1", "2", "3", "4", "5"), "1")
     # first tree drops (1,2): path 1-5-4-3-2
-    assert pair.omitted_edge_1 == ("1", "2")
     assert pair.parent1 == {"5": "1", "4": "5", "3": "4", "2": "3"}
     # second tree drops (5,1): path 1-2-3-4-5
-    assert pair.omitted_edge_2 == ("5", "1")
     assert pair.parent2 == {"2": "1", "3": "2", "4": "3", "5": "4"}
     assert independence_report(pair, gen_cycle(5)).vertex_disjoint
 
@@ -43,14 +41,20 @@ def test_cycle_must_not_repeat_a_vertex():
 def test_identical_trees_are_not_independent():
     c5 = gen_cycle(5)
     pair = build_ists(("1", "2", "3", "4", "5"), "1")
-    forged = TreePair(
-        root=pair.root,
-        parent1=pair.parent2,
-        parent2=pair.parent2,
-        omitted_edge_1=pair.omitted_edge_2,
-        omitted_edge_2=pair.omitted_edge_2,
-    )
+    forged = TreePair(root=pair.root, parent1=pair.parent2, parent2=pair.parent2)
     assert not independence_report(forged, c5).vertex_disjoint
+
+
+def test_root_with_a_parent_is_not_a_tree_pair():
+    # the two arcs of the closed walk a-b-c-a-d-e-a on the bowtie, each with
+    # five edges on five vertices: the root's parent closes a triangle
+    bowtie = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "e"), ("e", "a")])
+    parent1 = {"a": "d", "b": "c", "c": "a", "d": "e", "e": "a"}
+    parent2 = {"a": "c", "b": "a", "c": "b", "d": "a", "e": "d"}
+    pair = TreePair("a", parent1, parent2)
+    report = independence_report(pair, bowtie)
+    assert (report.vertex_disjoint, report.edge_disjoint) == (False, False)
+    assert report.first_violation == "root a has a parent"
 
 
 def test_tree_edges_must_exist_in_graph():
