@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from otisham import cli
+
 CLI = [sys.executable, "-m", "otisham"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -206,7 +208,6 @@ def test_reproduce_matches_published_counts():
 
 
 def test_reproduce_rejects_tampered_generator(monkeypatch):
-    from otisham import cli
     from otisham.graph import Graph
 
     otis = cli.otis
@@ -238,6 +239,52 @@ def test_json_output_is_byte_identical():
     a = run("reproduce", "--json").stdout
     b = run("reproduce", "--json").stdout
     assert a == b
+
+
+def call_main(capsys, argv):
+    """(exit code, stdout, stderr) of one ``cli.main`` call in this process."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors and --version
+        rc = exc.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def test_repeated_main_calls_match_separate_processes(tmp_path, capsys, monkeypatch):
+    # the seeded, budget-cut decide comes first: a seed, budget or command
+    # left behind in the reused parser would change a later call's output
+    monkeypatch.setenv("COLUMNS", "80")  # the same usage wrapping on both sides
+    (tmp_path / "k6.el").write_text(run("gen", "complete", "--k", "6").stdout)
+    (tmp_path / "seed.json").write_text(json.dumps({"deleted": [["1", "2"]], "forced": [["3", "5"]]}))
+    graph, seed = str(tmp_path / "k6.el"), str(tmp_path / "seed.json")
+    calls = [
+        (["decide", "--in", graph, "--seed", seed, "--budget-nodes", "1", "--json"], 2),
+        (["ham-build", "--m", "3", "--n", "3", "--budget-nodes", "0"], 4),
+        (["--version"], 0),
+        (["decide", "--in", graph, "--json"], 0),
+        (["ham-build", "--m", "7", "--n", "7", "--json"], 0),
+    ]
+    for argv, want in calls:
+        rc, out, err = call_main(capsys, argv)
+        proc = run(*argv, check=False)
+        assert (rc, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert rc == want, argv
+
+
+def test_main_builds_no_parser_after_the_first_call(capsys, monkeypatch):
+    argv = ["ham-build", "--m", "3", "--n", "3", "--json"]
+    assert call_main(capsys, argv)[0] == 0
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert call_main(capsys, argv)[0] == 0
+    assert built == []
 
 
 def test_emit_key_edges_even_even_reports_unsupported():

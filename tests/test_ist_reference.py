@@ -88,23 +88,44 @@ def shared_edge_only(rng):
     return with_parents(pair, parent1, pair.parent2), graph
 
 
+def descendants(parent: dict, x: str) -> set[str]:
+    """The vertices other than ``x`` whose parent chain reaches ``x``."""
+    found = set()
+    for v in sorted(parent):
+        seen, w = {v}, parent[v]
+        while w != x and w in parent and w not in seen:
+            seen.add(w)
+            w = parent[w]
+        if w == x and v != x:
+            found.add(v)
+    return found
+
+
 def broken_chain(rng):
+    # every change leaves some vertex without a path to the root: a parent
+    # removed, a loop closed, or a parent given to the root
     pair, graph = independent(rng) if rng.random() < 0.5 else shared_interior(rng)
     parents = [dict(pair.parent1), dict(pair.parent2)]
     for _ in range(rng.randint(1, 2)):
         parent = rng.choice(parents)
         x = rng.choice(sorted(parent))
         mode = rng.randrange(4)
-        if mode == 0:  # a missing parent
-            del parent[x]
-        elif mode == 1:  # a two-cycle x <-> a child of x, when x has one
-            kids = [c for c, p in parent.items() if p == x]
-            if kids:
-                parent[x] = rng.choice(kids)
-        elif mode == 2:  # any neighbour, which may close a longer loop
-            parent[x] = rng.choice(graph.neighbors(x))
-        else:  # the root gets a parent of its own
+        if mode == 1:  # a two-cycle x <-> a child of x
+            inner = sorted({p for p in parent.values() if p in parent})
+            if inner:
+                x = rng.choice(inner)
+                parent[x] = rng.choice([c for c, p in parent.items() if p == x])
+                continue
+        elif mode == 2:  # a longer loop: x hangs off a neighbour below it
+            below = descendants(parent, x)
+            loops = [w for w in graph.neighbors(x) if w in below]
+            if loops:
+                parent[x] = rng.choice(loops)
+                continue
+        elif mode == 3:  # the root gets a parent of its own
             parent[pair.root] = rng.choice(graph.neighbors(pair.root))
+            continue
+        del parent[x]  # a missing parent, also when mode 1 or 2 finds no pick
     return with_parents(pair, *parents), graph
 
 
@@ -176,6 +197,8 @@ def test_random_tree_pairs_match(kind):
         report = assert_same_report(*KINDS[kind](rng))
         seen[outcome(report)] = seen.get(outcome(report), 0) + 1
     assert seen.get(EXPECTED[kind], 0) >= CASES_PER_KIND // 4, seen
+    if kind != "independent":  # a valid pair here is a case the generator failed to spoil
+        assert EXPECTED["independent"] not in seen, seen
 
 
 def test_degenerate_graphs_match():
