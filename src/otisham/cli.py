@@ -6,11 +6,6 @@ malformed input file, or a label or pair the graph does not have, reported
 as one ``error:`` line.  ``--json`` output is byte-identical across runs for
 identical inputs, budgets and seed; timings are printed only in
 human-readable mode.
-
-The argument parser is built once per process, on the first ``main`` call,
-and reused: ``main(argv)`` may be called any number of times in one
-process, and each call gives the same exit code and output as a separate
-``python -m otisham`` process given the same ``argv``.
 """
 
 from __future__ import annotations
@@ -405,10 +400,13 @@ def cmd_sweep(args) -> int:
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The process's one parser.  ``parse_args`` fills a fresh namespace and
-    ``_Parser.error`` only prints and exits, so no call changes it."""
-    # --help shows the module docstring less its last paragraph, for callers of main
-    parser = _Parser(prog="otisham", description=__doc__.rsplit("\n\n", 1)[0])
+    """The process's one parser, built on the first ``main`` call and reused:
+    ``main(argv)`` may be called any number of times in one process, and each
+    call gives the same exit code and output as a separate ``python -m
+    otisham`` process given the same ``argv``.  ``parse_args`` fills a fresh
+    namespace and ``_Parser.error`` only prints and exits, so no call changes
+    the parser."""
+    parser = _Parser(prog="otisham", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -380,10 +380,10 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
         if not is_hamiltonian_cycle(graph, cycle):
             raise AssertionError("constructed cycle failed verification")
     else:
-        # Every edge at a vertex that keeps three or more live edges stays
-        # open at the fixpoint.  The seeded decider settles them, mostly by
-        # a walk that never backtracks (module docstring).  With the small
-        # figures' empty table it does the whole search.
+        # An edge stays open at the fixpoint only when both of its ends
+        # keep three or more live edges.  The seeded decider settles them,
+        # mostly by a walk that never backtracks (module docstring).  With
+        # the small figures' empty table it does the whole search.
         verdict = decide(graph, seed=asg, budget=budget)
         if verdict.status == INCONCLUSIVE:
             return FailureReport(INCONCLUSIVE, cls, f"search budget exhausted: {verdict.reason}")

@@ -287,6 +287,17 @@ def test_main_builds_no_parser_after_the_first_call(capsys, monkeypatch):
     assert built == []
 
 
+def test_commands_run_without_docstrings():
+    # python -OO strips the module docstring that --help shows
+    argv = ["ham-build", "--m", "3", "--n", "3", "--json"]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-OO", "-m", "otisham", *argv], capture_output=True, text=True,
+        timeout=300, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, run(*argv).stdout, "")
+
+
 def test_emit_key_edges_even_even_reports_unsupported():
     build = run("ham-build", "--m", "4", "--n", "4", "--json")
     emit = run("ham-build", "--m", "4", "--n", "4", "--emit-key-edges", "--json")

@@ -108,7 +108,9 @@ def broken_chain(rng):
     parents = [dict(pair.parent1), dict(pair.parent2)]
     for _ in range(rng.randint(1, 2)):
         parent = rng.choice(parents)
-        x = rng.choice(sorted(parent))
+        # never the root, which is a key once mode 3 gives it a parent:
+        # deleting the root's parent would mend the tree
+        x = rng.choice(sorted(set(parent) - {pair.root}))
         mode = rng.randrange(4)
         if mode == 1:  # a two-cycle x <-> a child of x
             inner = sorted({p for p in parent.values() if p in parent})
