@@ -418,9 +418,9 @@ def build_parser() -> _Parser:
 
     def add_budget(p):
         p.add_argument("--budget-nodes", type=_positive(int), dest="budget_nodes",
-                       default=SearchBudget.max_nodes)
+                       default=SearchBudget().max_nodes)
         p.add_argument("--budget-secs", type=_positive(float), dest="budget_secs",
-                       default=SearchBudget.max_seconds)
+                       default=SearchBudget().max_seconds)
 
     p = add("gen", cmd_gen, help="generate a base graph")
     p.add_argument("family", choices=["bowtie", "butterfly", "cycle", "path", "complete"])

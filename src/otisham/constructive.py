@@ -31,7 +31,7 @@ c..i wrap on the right cycle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import INCONCLUSIVE, Contradiction, EdgeAssignment, SearchBudget, decide, propagate
 from .graph import Graph, is_hamiltonian_cycle
@@ -65,8 +65,7 @@ def classify(m: int, n: int) -> ParamClass:
     return ParamClass.ODD_ODD_GENERAL
 
 
-@dataclass(frozen=True)
-class KeyEdge:
+class KeyEdge(NamedTuple):
     """One seeded deletion: intracluster edge (a, b) of cluster ``cluster``,
     tagged with the table row that produced it."""
 
@@ -325,16 +324,14 @@ def key_edges(m: int, n: int) -> list[KeyEdge]:
     return out
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(NamedTuple):
     cycle: tuple[str, ...]
     param_class: ParamClass
     steps: int
     graph: Graph
 
 
-@dataclass(frozen=True)
-class FailureReport:
+class FailureReport(NamedTuple):
     kind: str  # "unsupported-class" | "contradiction" | "inconclusive" (budget cut)
     param_class: ParamClass
     detail: str

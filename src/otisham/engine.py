@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, is_connected, is_hamiltonian_cycle
 
@@ -35,8 +35,7 @@ VERTEX_OVERFILLED = "vertex-overfilled"
 SHORT_SUBCYCLE = "short-subcycle"
 
 
-@dataclass(frozen=True)
-class Contradiction:
+class Contradiction(NamedTuple):
     """Witnessed impossibility: no Hamiltonian cycle extends the state."""
 
     kind: str
@@ -315,8 +314,7 @@ def propagate(assignment: EdgeAssignment):
     return conflict if conflict is not None else assignment
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(NamedTuple):
     max_nodes: int = 10_000_000
     max_seconds: float = 600.0
 
@@ -326,8 +324,7 @@ NON_HAMILTONIAN = "non-hamiltonian"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class HamVerdict:
+class HamVerdict(NamedTuple):
     status: str
     cycle: tuple[str, ...] | None = None
     nodes: int = 0
@@ -435,8 +432,7 @@ def decide(
 # -- counting refutation ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CountingCertificate:
+class CountingCertificate(NamedTuple):
     """Non-Hamiltonicity witness: more unavoidably-unused edges than the
     graph has to spare."""
 

@@ -8,14 +8,18 @@ vertex <g,u> has index g*N + u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph import Graph, GraphError
 
 
-@dataclass(frozen=True)
-class BowtieParams:
+class _CycleLengths(NamedTuple):
+    m: int
+    n: int
+
+
+class BowtieParams(_CycleLengths):
     """Canonical parameters for the two-cycles-at-a-cut-vertex graph.
 
     ``m`` is the left cycle length (labels 1..c, c = m), ``n`` the right
@@ -24,12 +28,12 @@ class BowtieParams:
     left cycle when parities differ.
     """
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 3 or self.n < 3:
-            raise ValueError(f"cycle lengths must be >= 3, got ({self.m}, {self.n})")
+    def __new__(cls, m: int, n: int) -> "BowtieParams":
+        if m < 3 or n < 3:
+            raise ValueError(f"cycle lengths must be >= 3, got ({m}, {n})")
+        return super().__new__(cls, m, n)
 
     @classmethod
     def normalized(cls, m: int, n: int) -> "BowtieParams":

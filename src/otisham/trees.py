@@ -8,13 +8,12 @@ root paths share no interior vertex.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, GraphError
 
 
-@dataclass(frozen=True)
-class TreePair:
+class TreePair(NamedTuple):
     """Two spanning trees as child-to-parent maps rooted at ``root``, each
     the source cycle minus one of the root's two cycle edges."""
 
@@ -44,8 +43,7 @@ def build_ists(cycle, root: str) -> TreePair:
     return TreePair(root, parent1, parent2)
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     vertex_disjoint: bool
     edge_disjoint: bool
     first_violation: str | None = None

@@ -12,13 +12,14 @@ CLI = [sys.executable, "-m", "otisham"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run(*args, check=True):
+def child_env() -> dict:
     # the package may not be installed: the child finds it in this checkout
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        CLI + list(args), capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run(*args, check=True):
+    proc = subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=300, env=child_env())
     if check and proc.returncode != 0:
         raise AssertionError(f"{args}: rc={proc.returncode}\n{proc.stderr}")
     return proc
@@ -290,12 +291,33 @@ def test_main_builds_no_parser_after_the_first_call(capsys, monkeypatch):
 def test_commands_run_without_docstrings():
     # python -OO strips the module docstring that --help shows
     argv = ["ham-build", "--m", "3", "--n", "3", "--json"]
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-OO", "-m", "otisham", *argv], capture_output=True, text=True,
-        timeout=300, env=dict(os.environ, PYTHONPATH=path),
+        timeout=300, env=child_env(),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, run(*argv).stdout, "")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # each record class would cost a generated, exec'd method set at import,
+    # which every one-shot command pays
+    def loaded(statement: str) -> set[str]:
+        code = f"{statement}; import sys; print(*sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=child_env(), check=True)
+        return set(proc.stdout.split())
+
+    added = loaded("import otisham.cli") - loaded("pass")
+    assert "otisham.cli" in added
+    assert not {"dataclasses", "inspect"} & added
+
+
+def test_budget_defaults_are_the_search_budget_defaults():
+    parse = cli.build_parser().parse_args
+    for argv in (["decide", "--in", "x"], ["ham-build", "--m", "3", "--n", "5"], ["sweep", "--max-base", "5"]):
+        args = parse(argv)
+        assert (args.budget_nodes, args.budget_secs) == (10_000_000, 600.0), argv
+        assert (type(args.budget_nodes), type(args.budget_secs)) == (int, float), argv
 
 
 def test_emit_key_edges_even_even_reports_unsupported():
@@ -342,6 +364,16 @@ BAD_INPUTS = {
     "OTIS base of no vertex": (["otis", "--in", "{file}"], "V 0\n"),
     "vertex count line with a trailing token": (["decide", "--in", "{file}"], "V 2 x\n1 2\n"),
 }
+
+
+@pytest.mark.parametrize("argv,pair", [
+    (["ham-build", "--m", "2", "--n", "5"], "(2, 5)"),  # as given
+    (["gen", "bowtie", "--m", "2", "--n", "5"], "(5, 2)"),  # normalized: odd side left
+], ids=["ham-build", "gen bowtie"])
+def test_cycle_length_error_names_the_pair(argv, pair):
+    proc = run(*argv, check=False)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == f"error: cycle lengths must be >= 3, got {pair}\n"
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
