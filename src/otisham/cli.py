@@ -230,7 +230,7 @@ def cmd_ham_build(args) -> int:
         return EXIT_OK
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(write_cycle_certificate(result.graph, result.cycle, verified=True) + "\n")
+            fh.write(write_cycle_certificate(result.graph, result.cycle) + "\n")
     payload = {
         "m": args.m,
         "n": args.n,
@@ -271,13 +271,14 @@ def cmd_ist(args) -> int:
 def cmd_verify(args) -> int:
     graph = _read_graph(getattr(args, "in"))
     cert = read_cycle_certificate(_read_text(args.cycle))
-    hash_ok = graph_hash(graph) == cert["graph_hash"]
+    input_hash = graph_hash(graph)
+    hash_ok = input_hash == cert["graph_hash"]
     reason = cycle_violation(graph, cert["order"])
     payload = {
         "hash_match": hash_ok,
         "valid_cycle": reason is None,
         "reason": reason,
-        "input_hash": graph_hash(graph),
+        "input_hash": input_hash,
     }
     _emit(args, payload)
     return EXIT_OK if hash_ok and reason is None else EXIT_MISMATCH

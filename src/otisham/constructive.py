@@ -159,8 +159,7 @@ def _rows_odd_odd_3n(r: _Rows) -> None:
     r.run(1, c + 2, i - 2, "right run")
     r.cut(1, i, c - 1, c + 1)
     r.cut(2, 1, c + 1)
-    if i > 7:
-        r.run(2, 6, i - 3, "right run")
+    r.run(2, 6, i - 3, "right run")
     r.cut(3, 1, c + 1)
     r.cut(c + 1, 1, c - 1, i)
     r.run(c + 1, c + 2, i - 2, "right run")
@@ -195,12 +194,10 @@ def _rows_odd_odd_general(r: _Rows) -> None:
     r.run(1, c + 2, i - 2, "right run")
     r.cut(2, 1, i)
     r.add(2, c - 2, c - 1, "pair")
-    if i - 5 >= c + 5:
-        r.run(2, c + 5, i - 5, "right run")
+    r.run(2, c + 5, i - 5, "right run")
     r.add(3, i - 1, i - 2, "pair")
     r.cut(3, c - 1, c + 1)
-    if i - 5 >= c + 5:
-        r.run(3, c + 5, i - 5, "right run")
+    r.run(3, c + 5, i - 5, "right run")
     for g in range(4, c - 2):
         r.cut(g, 1, c + 1)
         r.add(g, i - 2, i - 1, "pair")
@@ -222,8 +219,7 @@ def _rows_odd_odd_general(r: _Rows) -> None:
     r.cut(c + 4, c - 1, 1)
     r.add(c + 4, i - 1, i, "pair")
     for g in range(c + 5, i - 3):
-        if i - 5 >= c + 5:
-            r.add(g, 2, 3, "conditional pair")
+        r.add(g, 2, 3, "conditional pair")
         r.cut(g, 1, c - 1)
         r.add(g, i, i - 1, "pair")
     r.cut(i - 3, 1, c - 1)
@@ -250,14 +246,11 @@ def _rows_odd_even_general(r: _Rows) -> None:
     r.run(1, 2, c - 1, "left run")
     r.cut(2, 1, c + 1)
     r.add(2, c - 2, c - 1, "pair")
-    if i >= c + 3:
-        r.run(2, c + 2, i - 3, "right run")
+    r.run(2, c + 2, i - 3, "right run")
     r.cut(3, c - 1, c + 1)
-    if i >= c + 3:
-        r.run(3, c + 2, i - 3, "right run")
-    if 4 < c - 1:
-        for g in range(3, c - 2):
-            r.add(g, i - 1, i, "conditional pair")
+    r.run(3, c + 2, i - 3, "right run")
+    for g in range(3, c - 2):
+        r.add(g, i - 1, i, "conditional pair")
     if 4 < c - 3:
         for g in range(4, c - 2):
             r.cut(g, 1, c + 1)
@@ -272,12 +265,10 @@ def _rows_odd_even_general(r: _Rows) -> None:
     r.run(g, 2, c - 3, "left run")
     for g in range(c + 2, i - 1):
         r.cut(g, c - 1, i)
-        if c + 3 < i:
-            r.add(g, 2, 3, "conditional pair")
+        r.add(g, 2, 3, "conditional pair")
     g = i - 1
     r.cut(g, c - 1, i)
-    if 4 < c - 1:
-        r.run(g, 3, c - 3, "left run")
+    r.run(g, 3, c - 3, "left run")
     g = i
     r.cut(g, 1, c - 1)
     r.run(g, 3, c - 3, "left run")
@@ -371,7 +362,6 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
     result = propagate(asg)
     if isinstance(result, Contradiction):
         return contradiction(str(result))
-    steps = asg.steps
     if asg.n_undecided == 0:
         cycle = asg.extract_cycle()
         if not is_hamiltonian_cycle(graph, cycle):
@@ -387,5 +377,4 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
         if not verdict.is_hamiltonian:
             return contradiction(f"no completion of the table fixpoint: {verdict.status}")
         cycle = verdict.cycle
-        steps += verdict.steps
-    return BuildResult(cycle=cycle, param_class=cls, steps=steps, graph=graph)
+    return BuildResult(cycle=cycle, param_class=cls, steps=asg.steps, graph=graph)

@@ -56,9 +56,9 @@ class EdgeAssignment:
     undecided -> deleted at most once, except that ``_undo`` takes back the
     changes logged since a trail mark.  ``steps`` counts elementary engine
     operations (state transitions plus worklist pops); undo does not lower
-    it.  ``trail`` is None outside a search, so plain propagation logs
-    nothing.  A new assignment has a whole-graph rule pass queued, so the
-    first ``run`` visits every vertex ahead of anything a seed schedules.
+    it.  ``trail`` logs every transition, so any state can be backtracked.
+    A new assignment has a whole-graph rule pass queued, so the first
+    ``run`` visits every vertex ahead of anything a seed schedules.
 
     Saturation and the chord cut fire in ``_force``: outside a conflict,
     ``forced <= 2``, ``forced == 2`` implies ``live == 2``, and no undecided
@@ -92,32 +92,16 @@ class EdgeAssignment:
         self.conflict: Contradiction | None = None
         self.queue = deque(range(n))
         self.steps = 0
-        # while a search runs, one record per state transition: the edge id
-        # of a deletion or of the forced edge that closes the cycle; for any
-        # other forced edge, a tuple of its id and both chain ends it joins,
-        # each followed by its old chain_end and chain_size
-        self.trail: list | None = None
+        # one record per state transition: the edge id of a deletion or of
+        # the forced edge that closes the cycle; for any other forced edge,
+        # a tuple of its id and both chain ends it joins, each followed by
+        # its old chain_end and chain_size
+        self.trail: list = []
         self.lo = 0
 
     @classmethod
     def for_graph(cls, graph: Graph) -> "EdgeAssignment":
         return cls(graph)
-
-    def copy(self) -> "EdgeAssignment":
-        new = object.__new__(EdgeAssignment)
-        new.graph = self.graph
-        new.state = bytearray(self.state)
-        new.forced = self.forced[:]
-        new.live = self.live[:]
-        new.chain_end = self.chain_end[:]
-        new.chain_size = self.chain_size[:]
-        new.n_undecided = self.n_undecided
-        new.conflict = self.conflict
-        new.queue = deque(self.queue)
-        new.steps = 0
-        new.trail = None
-        new.lo = 0
-        return new
 
     # -- primitives --------------------------------------------------------
 
@@ -188,15 +172,12 @@ class EdgeAssignment:
         self.forced[b] += 1
         self.queue.append(a)
         self.queue.append(b)
-        trail = self.trail
         if closing:
-            if trail is not None:
-                trail.append(eid)
+            self.trail.append(eid)
         else:
             merged = self.chain_size[end_a] + self.chain_size[end_b]
-            if trail is not None:
-                trail.append((eid, end_a, self.chain_end[end_a], self.chain_size[end_a],
-                              end_b, self.chain_end[end_b], self.chain_size[end_b]))
+            self.trail.append((eid, end_a, self.chain_end[end_a], self.chain_size[end_a],
+                               end_b, self.chain_end[end_b], self.chain_size[end_b]))
             self.chain_end[end_a] = end_b
             self.chain_end[end_b] = end_a
             self.chain_size[end_a] = merged
@@ -234,9 +215,7 @@ class EdgeAssignment:
             self.conflict = Contradiction(VERTEX_UNDERFILLED, vertex=lab[v])
             return
         self.state[eid] = DELETED
-        trail = self.trail
-        if trail is not None:
-            trail.append(eid)
+        self.trail.append(eid)
         self.steps += 1
         self.n_undecided -= 1
         # both counts drop before either is checked, so undo is exact
@@ -253,11 +232,12 @@ class EdgeAssignment:
 
     def _undo(self, mark: int) -> None:
         """Take back every trail entry past ``mark``, newest first, and drop
-        any conflict and pending work.  ``n_undecided`` and ``lo`` are the
-        caller's to restore: they are saved with the mark."""
+        any conflict and pending work.  Each entry took one edge out of
+        undecided.  ``lo`` is the caller's to restore: it is saved with the mark."""
         trail, state, ends = self.trail, self.state, self.graph.ends
         forced, live = self.forced, self.live
         chain_end, chain_size = self.chain_end, self.chain_size
+        self.n_undecided += len(trail) - mark
         for _ in range(len(trail) - mark):
             x = trail.pop()
             if x.__class__ is tuple:  # a forced edge that joined two chains
@@ -329,7 +309,7 @@ class HamVerdict(NamedTuple):
     cycle: tuple[str, ...] | None = None
     nodes: int = 0
     max_depth: int = 0
-    steps: int = 0  # total propagation steps over the whole search
+    steps: int = 0  # propagation steps of the search, not of its seed
     reason: str | None = None
 
     @property
@@ -380,32 +360,32 @@ def decide(
     tree proves non-Hamiltonicity; ``Inconclusive`` only on budget
     exhaustion.
 
-    The search works on one assignment (a copy of ``seed``, which is left
-    as it was) and logs every change to its trail.  Each open deleted
-    branch is a stack entry of trail mark, undecided count, branch cursor,
-    edge and depth; taking it undoes the trail to the mark and deletes the
-    edge.  Search memory is O(V + E + depth).
+    The search changes ``seed`` in place (or a fresh assignment) and logs
+    every change to its trail; a Hamiltonian verdict leaves it complete.
+    Each open deleted branch is a stack entry of trail mark, branch
+    cursor, edge and depth; taking it undoes the trail to the mark and
+    deletes the edge.  Search memory is O(V + E + depth).
     """
     budget = budget or SearchBudget()
     if graph.n_vertices < 3 or not is_connected(graph) or min(map(len, graph.incident)) < 2:
         return HamVerdict(NON_HAMILTONIAN, nodes=0, max_depth=0)
     if seed is not None and seed.graph is not graph:
         raise ValueError("seed assignment was built for a different graph")
-    asg = seed.copy() if seed is not None else EdgeAssignment.for_graph(graph)
-    trail = asg.trail = []
+    asg = seed if seed is not None else EdgeAssignment.for_graph(graph)
+    steps0 = asg.steps
     t0 = time.monotonic()
     nodes = 0
     max_depth = 0
     depth = 0
-    stack: list[tuple[int, int, int, int, int]] = []
+    stack: list[tuple[int, int, int, int]] = []
     # (_force or _delete, edge id) that opens the next node; applied after
     # the budget checks, so a node the budget cuts off adds no steps
     enter = None
     while True:
         if nodes >= budget.max_nodes:
-            return HamVerdict(INCONCLUSIVE, nodes=nodes, max_depth=max_depth, steps=asg.steps, reason="node-budget")
+            return HamVerdict(INCONCLUSIVE, nodes=nodes, max_depth=max_depth, steps=asg.steps - steps0, reason="node-budget")
         if time.monotonic() - t0 > budget.max_seconds:
-            return HamVerdict(INCONCLUSIVE, nodes=nodes, max_depth=max_depth, steps=asg.steps, reason="time-budget")
+            return HamVerdict(INCONCLUSIVE, nodes=nodes, max_depth=max_depth, steps=asg.steps - steps0, reason="time-budget")
         if enter is not None:
             act, eid = enter
             act(eid)
@@ -416,15 +396,15 @@ def decide(
                 cycle = asg.extract_cycle()
                 if not is_hamiltonian_cycle(graph, cycle):
                     raise AssertionError("engine produced an invalid cycle witness")
-                return HamVerdict(HAMILTONIAN, cycle=cycle, nodes=nodes, max_depth=max_depth, steps=asg.steps)
+                return HamVerdict(HAMILTONIAN, cycle=cycle, nodes=nodes, max_depth=max_depth, steps=asg.steps - steps0)
             eid = _branch_edge(asg)
             depth += 1
-            stack.append((len(trail), asg.n_undecided, asg.lo, eid, depth))
+            stack.append((len(asg.trail), asg.lo, eid, depth))
             enter = (asg._force, eid)
             continue
         if not stack:
-            return HamVerdict(NON_HAMILTONIAN, nodes=nodes, max_depth=max_depth, steps=asg.steps)
-        mark, asg.n_undecided, asg.lo, eid, depth = stack.pop()
+            return HamVerdict(NON_HAMILTONIAN, nodes=nodes, max_depth=max_depth, steps=asg.steps - steps0)
+        mark, asg.lo, eid, depth = stack.pop()
         asg._undo(mark)
         enter = (asg._delete, eid)
 

@@ -96,11 +96,9 @@ def to_dot(graph: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_cycle_certificate(graph: Graph, cycle, *, verified: bool | None = None) -> str:
+def write_cycle_certificate(graph: Graph, cycle) -> str:
     order = list(cycle)
-    if verified is None:
-        verified = is_hamiltonian_cycle(graph, order)
-    payload = {"graph_hash": graph_hash(graph), "order": order, "verified": verified}
+    payload = {"graph_hash": graph_hash(graph), "order": order, "verified": is_hamiltonian_cycle(graph, order)}
     return json.dumps(payload, indent=None, separators=(",", ":"), sort_keys=True)
 
 

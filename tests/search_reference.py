@@ -4,11 +4,13 @@ reference it is tested against.
 Every search level holds a full ``EdgeAssignment`` copy, and the branch
 vertex is found by a Python scan over all vertices.  ``decide`` must give
 the same verdict, cycle, node count, depth, steps and reason on every input.
+Unlike ``engine.decide``, this search leaves its seed as it was.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 
 from otisham.engine import (
     HAMILTONIAN,
@@ -20,6 +22,24 @@ from otisham.engine import (
     SearchBudget,
 )
 from otisham.graph import Graph, is_connected, is_hamiltonian_cycle
+
+
+def _copy(asg: EdgeAssignment) -> EdgeAssignment:
+    """An independent copy of ``asg`` with an empty trail and no steps."""
+    new = object.__new__(EdgeAssignment)
+    new.graph = asg.graph
+    new.state = bytearray(asg.state)
+    new.forced = asg.forced[:]
+    new.live = asg.live[:]
+    new.chain_end = asg.chain_end[:]
+    new.chain_size = asg.chain_size[:]
+    new.n_undecided = asg.n_undecided
+    new.conflict = asg.conflict
+    new.queue = deque(asg.queue)
+    new.steps = 0
+    new.trail = []
+    new.lo = 0
+    return new
 
 
 def _branch_edge(asg: EdgeAssignment) -> int:
@@ -62,7 +82,7 @@ def decide(
         return HamVerdict(NON_HAMILTONIAN, nodes=0, max_depth=0)
     if seed is not None and seed.graph is not graph:
         raise ValueError("seed assignment was built for a different graph")
-    root = seed.copy() if seed is not None else EdgeAssignment.for_graph(graph)
+    root = _copy(seed) if seed is not None else EdgeAssignment.for_graph(graph)
     t0 = time.monotonic()
     nodes = 0
     max_depth = 0
@@ -87,7 +107,7 @@ def decide(
                 raise AssertionError("engine produced an invalid cycle witness")
             return HamVerdict(HAMILTONIAN, cycle=cycle, nodes=nodes, max_depth=max_depth, steps=steps)
         eid = _branch_edge(asg)
-        deleted_branch = asg.copy()
+        deleted_branch = _copy(asg)
         deleted_branch._delete(eid)
         asg._force(eid)
         stack.append((deleted_branch, depth + 1))

@@ -12,7 +12,7 @@ import pytest
 
 from otisham import engine
 from otisham.constructive import ParamClass, classify
-from otisham.engine import EdgeAssignment, SearchBudget, decide
+from otisham.engine import UNDECIDED, EdgeAssignment, SearchBudget, decide
 from otisham.topology import gen_bowtie, otis
 
 import search_reference
@@ -20,10 +20,10 @@ from conftest import GOLDEN_BASES, random_graph, sweep_parameter_pairs, table_se
 
 
 def assert_same_verdict(graph, seed=None, budget=None):
-    # the trail search runs first: a seed it changed would show as a
-    # different reference verdict
-    got = decide(graph, seed=seed, budget=budget)
+    # the reference runs first: it copies the seed, which the trail search
+    # then searches in place
     want = search_reference.decide(graph, seed=seed, budget=budget)
+    got = decide(graph, seed=seed, budget=budget)
     assert got == want
     return got
 
@@ -117,6 +117,7 @@ def test_branch_cursor_matches_the_full_scan(monkeypatch, inputs):
         nonlocal calls
         calls += 1
         assert 3 not in asg.live[: asg.lo]
+        assert asg.n_undecided == asg.state.count(UNDECIDED)
         eid = cursor_scan(asg)
         assert eid == search_reference._branch_edge(asg)
         return eid
