@@ -15,14 +15,15 @@ witness of an inconsistent state is reported first depends on it.
 
 A complete decider searches over the undecided edges with this propagation
 as the pruning engine, and a counting refuter certifies non-Hamiltonicity
-from degree surpluses alone.  The search keeps one assignment: while it
-runs, every change is logged to a trail, and backtracking undoes the trail
-back to a mark (the trail-and-undo design of MiniSat, Een & Sorensson 2003).
+from degree surpluses alone.  The search keeps one assignment, logs the id
+of each edge it changes to a trail, and backtracks by undoing the trail to a
+mark, working out the rest (the trail of MiniSat, Een & Sorensson 2003).
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from collections import deque
 from typing import NamedTuple
 
@@ -56,7 +57,8 @@ class EdgeAssignment:
     undecided -> deleted at most once, except that ``_undo`` takes back the
     changes logged since a trail mark.  ``steps`` counts elementary engine
     operations (state transitions plus worklist pops); undo does not lower
-    it.  ``trail`` logs every transition, so any state can be backtracked.
+    it.  ``trail`` logs each transition's edge id and nothing else, so any
+    state can be backtracked: ``_undo`` works out the chains from the counts.
     A new assignment has a whole-graph rule pass queued, so the first
     ``run`` visits every vertex ahead of anything a seed schedules.
 
@@ -86,17 +88,14 @@ class EdgeAssignment:
         self.state = bytearray(m)
         self.forced = [0] * n
         self.live = [len(inc) for inc in graph.incident]
-        self.chain_end = list(range(n))
+        # the graph's own int object per vertex, not a fresh one per entry
+        self.chain_end = list(graph.index.values())
         self.chain_size = [1] * n
         self.n_undecided = m
         self.conflict: Contradiction | None = None
-        self.queue = deque(range(n))
+        self.queue = deque(self.chain_end)
         self.steps = 0
-        # one record per state transition: the edge id of a deletion or of
-        # the forced edge that closes the cycle; for any other forced edge,
-        # a tuple of its id and both chain ends it joins, each followed by
-        # its old chain_end and chain_size
-        self.trail: list = []
+        self.trail: list[int] = []  # the edge id of each transition, oldest first
         self.lo = 0
 
     @classmethod
@@ -140,8 +139,9 @@ class EdgeAssignment:
         cyc = self._walk_chain(start)
         self.state[eid] = UNDECIDED
         lab = self.graph.labels
-        if size == len(lab) - 1:
-            (stranded,) = set(range(len(lab))) - set(cyc)
+        n = len(lab)
+        if size == n - 1:
+            stranded = n * (n - 1) // 2 - sum(cyc)  # indices 0..n-1 less the cycle's
             self.conflict = Contradiction(VERTEX_UNDERFILLED, vertex=lab[stranded])
         else:
             self.conflict = Contradiction(SHORT_SUBCYCLE, cycle=tuple(lab[k] for k in cyc))
@@ -172,12 +172,9 @@ class EdgeAssignment:
         self.forced[b] += 1
         self.queue.append(a)
         self.queue.append(b)
-        if closing:
-            self.trail.append(eid)
-        else:
+        self.trail.append(eid)
+        if not closing:
             merged = self.chain_size[end_a] + self.chain_size[end_b]
-            self.trail.append((eid, end_a, self.chain_end[end_a], self.chain_size[end_a],
-                               end_b, self.chain_end[end_b], self.chain_size[end_b]))
             self.chain_end[end_a] = end_b
             self.chain_end[end_b] = end_a
             self.chain_size[end_a] = merged
@@ -233,28 +230,37 @@ class EdgeAssignment:
     def _undo(self, mark: int) -> None:
         """Take back every trail entry past ``mark``, newest first, and drop
         any conflict and pending work.  Each entry took one edge out of
-        undecided.  ``lo`` is the caller's to restore: it is saved with the mark."""
+        undecided.  ``lo`` is the caller's to restore: it is saved with the mark.
+
+        A forced edge's chain ends are worked out, not logged.  Once its
+        forced counts are lowered, an endpoint with none was a one-vertex
+        chain.  One with one forced edge became interior when the edge
+        merged its chain, and interior vertices are never written, so its
+        ``chain_end`` and ``chain_size`` still name its old chain.  The
+        edge that closed the cycle is the one whose ends each keep one
+        forced edge and name each other; it changed no chain."""
         trail, state, ends = self.trail, self.state, self.graph.ends
         forced, live = self.forced, self.live
         chain_end, chain_size = self.chain_end, self.chain_size
         self.n_undecided += len(trail) - mark
         for _ in range(len(trail) - mark):
             x = trail.pop()
-            if x.__class__ is tuple:  # a forced edge that joined two chains
-                x, end_a, old_end_a, old_size_a, end_b, old_end_b, old_size_b = x
-                chain_end[end_a], chain_size[end_a] = old_end_a, old_size_a
-                chain_end[end_b], chain_size[end_b] = old_end_b, old_size_b
-                a, b = ends[x]
+            a, b = ends[x]
+            if state[x] == DELETED:
+                live[a] += 1
+                live[b] += 1
+            else:
                 forced[a] -= 1
                 forced[b] -= 1
-            else:
-                a, b = ends[x]
-                if state[x] == DELETED:
-                    live[a] += 1
-                    live[b] += 1
-                else:  # the edge that closed the cycle
-                    forced[a] -= 1
-                    forced[b] -= 1
+                if not forced[a] or chain_end[a] != b:  # not the closing edge
+                    for v in a, b:
+                        if forced[v]:  # v's old chain end takes v back
+                            end = chain_end[v]
+                            chain_end[end] = v
+                            chain_size[end] = chain_size[v]
+                        else:
+                            chain_end[v] = v
+                            chain_size[v] = 1
             state[x] = UNDECIDED
         self.conflict = None
         self.queue.clear()
@@ -362,9 +368,9 @@ def decide(
 
     The search changes ``seed`` in place (or a fresh assignment) and logs
     every change to its trail; a Hamiltonian verdict leaves it complete.
-    Each open deleted branch is a stack entry of trail mark, branch
-    cursor, edge and depth; taking it undoes the trail to the mark and
-    deletes the edge.  Search memory is O(V + E + depth).
+    Each open deleted branch is four ints on one flat stack: trail mark,
+    branch cursor, edge and depth; taking it undoes the trail to the mark
+    and deletes the edge.  Search memory is O(V + E + depth).
     """
     budget = budget or SearchBudget()
     if graph.n_vertices < 3 or not is_connected(graph) or min(map(len, graph.incident)) < 2:
@@ -377,7 +383,7 @@ def decide(
     nodes = 0
     max_depth = 0
     depth = 0
-    stack: list[tuple[int, int, int, int]] = []
+    stack = array("q")
     # (_force or _delete, edge id) that opens the next node; applied after
     # the budget checks, so a node the budget cuts off adds no steps
     enter = None
@@ -399,12 +405,13 @@ def decide(
                 return HamVerdict(HAMILTONIAN, cycle=cycle, nodes=nodes, max_depth=max_depth, steps=asg.steps - steps0)
             eid = _branch_edge(asg)
             depth += 1
-            stack.append((len(asg.trail), asg.lo, eid, depth))
+            stack.extend((len(asg.trail), asg.lo, eid, depth))
             enter = (asg._force, eid)
             continue
         if not stack:
             return HamVerdict(NON_HAMILTONIAN, nodes=nodes, max_depth=max_depth, steps=asg.steps - steps0)
-        mark, asg.lo, eid, depth = stack.pop()
+        mark, asg.lo, eid, depth = stack[-4:]
+        del stack[-4:]
         asg._undo(mark)
         enter = (asg._delete, eid)
 

@@ -118,12 +118,13 @@ def otis(base: Graph) -> Graph:
     if g.n_vertices != size * size:
         raise GraphError("base labels collide once joined into OTIS labels")
     base_edges = base.oriented_ends()
+    ids = list(g.index.values())  # link stores these, not a fresh int per edge end
     for offset in range(0, size * size, size):
         for a, b in base_edges:
-            g.link(offset + a, offset + b)
+            g.link(ids[offset + a], ids[offset + b])
     for a in range(size):
         for b in range(a + 1, size):
-            g.link(a * size + b, b * size + a)
+            g.link(ids[a * size + b], ids[b * size + a])
     return g
 
 

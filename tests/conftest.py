@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,16 @@ def sweep_builds(sweep_build_seconds) -> dict[tuple[int, int], BuildResult]:
         assert isinstance(result, BuildResult), f"({m},{n}): {result}"
         builds[(m, n)] = result
     return builds
+
+
+def peak_bytes(fn):
+    """``fn()``'s result and the peak bytes ``tracemalloc`` traced while it
+    ran; tracing stops even if ``fn`` raises."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sweep_roots(m: int, n: int, graph: Graph) -> list[str]:

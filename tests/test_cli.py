@@ -8,6 +8,8 @@ import pytest
 
 from otisham import cli
 
+from conftest import peak_bytes
+
 CLI = [sys.executable, "-m", "otisham"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -286,6 +288,17 @@ def test_main_builds_no_parser_after_the_first_call(capsys, monkeypatch):
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
     assert call_main(capsys, argv)[0] == 0
     assert built == []
+
+
+def test_ham_build_peak_memory_per_vertex(capsys):
+    # OTIS(BF(81,80)) has 25,600 vertices.  A whole build peaked at about
+    # 890 B per vertex while the trail logged a 7-tuple per chain merge, the
+    # search stack a tuple per branch, each vertex index a fresh int per use
+    # and the cycle check a set and a list of labels; about 540 B since
+    argv = ["ham-build", "--m", "81", "--n", "80", "--json"]
+    rc, peak = peak_bytes(lambda: cli.main(argv))
+    assert rc == 0 and json.loads(capsys.readouterr().out)["verified"] is True
+    assert peak / 25_600 < 640, peak / 25_600
 
 
 def test_commands_run_without_docstrings():

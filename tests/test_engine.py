@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from collections import deque
 
 import pytest
@@ -12,6 +11,7 @@ from otisham.engine import (
     FORCED,
     SearchBudget,
     SHORT_SUBCYCLE,
+    UNDECIDED,
     VERTEX_OVERFILLED,
     VERTEX_UNDERFILLED,
     counting_refutation,
@@ -21,7 +21,14 @@ from otisham.engine import (
 from otisham.graph import Graph, is_hamiltonian_cycle
 from otisham.topology import gen_bowtie, gen_complete, gen_cycle, gen_path, otis
 
-from conftest import MAIN_LINE, assert_fixpoint_invariants, random_graph, staged_propagation, table_seed
+from conftest import (
+    MAIN_LINE,
+    assert_fixpoint_invariants,
+    peak_bytes,
+    random_graph,
+    staged_propagation,
+    table_seed,
+)
 from ham_oracle import oracle_all_cycles, oracle_is_hamiltonian
 
 
@@ -134,12 +141,7 @@ def test_seeded_search_memory_is_small_and_completes_the_seed():
     # the table seed of OTIS(BF(31,30)) leaves a search 1,271 levels deep;
     # a state copy per level took 148 MB here
     graph, seed = table_seed(31, 30)
-    tracemalloc.start()
-    try:
-        verdict = decide(graph, seed=seed)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    verdict, peak = peak_bytes(lambda: decide(graph, seed=seed))
     assert verdict.is_hamiltonian and verdict.max_depth == 1271
     assert peak < 5 * 2**20, peak
     # the search runs on the seed itself and leaves it holding the cycle
@@ -261,6 +263,52 @@ def test_invariants_hold_at_every_fixpoint(monkeypatch):
             fixpoints += 1
         decide(g, seed=seed, budget=SearchBudget(max_nodes=rng.choice((1, 3, 50, 10**6))))
     assert fixpoints > 1000 and nodes > 2500, (fixpoints, nodes)
+
+
+def undo_snapshot(asg: EdgeAssignment) -> tuple:
+    return (bytes(asg.state), list(asg.forced), list(asg.live), list(asg.chain_end),
+            list(asg.chain_size), asg.n_undecided, list(asg.trail))
+
+
+def test_undo_restores_the_state_at_its_mark_exactly():
+    # random graphs of up to 12 vertices under random forces and deletes,
+    # each batch run to a fixpoint or a conflict; marks nest as the search's
+    # do, each taken at a conflict-free fixpoint after a branch scan moved
+    # the cursor.  The trail holds edge ids only, so undo must work out every
+    # chain end and size it restores from the counts.
+    rng = random.Random(20261019)
+    undos = forces = 0
+    for _ in range(3000):
+        g = random_graph(rng, max_vertices=12)
+        if g.n_edges == 0:
+            continue
+        asg = EdgeAssignment(g)
+        marks = []
+        for _ in range(10):
+            conflict = asg.run()
+            if marks and (conflict is not None or rng.random() < 0.3):
+                mark, lo, before = marks.pop()
+                asg._undo(mark)
+                asg.lo = lo  # decide restores the cursor saved with the mark
+                assert undo_snapshot(asg) == before
+                assert asg.conflict is None and not asg.queue
+                assert 3 not in asg.live[:lo]
+                undos += 1
+                continue
+            if conflict is not None:
+                break
+            if rng.random() < 0.5:
+                if max(asg.live) >= 3:  # a vertex to branch on
+                    engine._branch_edge(asg)
+                marks.append((len(asg.trail), asg.lo, undo_snapshot(asg)))
+            for _ in range(rng.randint(1, 4)):
+                eid = rng.randrange(g.n_edges)
+                if rng.random() < 0.5:
+                    forces += asg.state[eid] == UNDECIDED and asg.conflict is None
+                    asg._force(eid)
+                else:
+                    asg._delete(eid)
+    assert undos > 3000 and forces > 4000, (undos, forces)
 
 
 @pytest.mark.parametrize(

@@ -69,6 +69,66 @@ def test_cycle_accepts_rotations_and_reversal(shift, flip):
     assert is_hamiltonian_cycle(c8, order)
 
 
+def cycle_orders(rng: random.Random, cycle: list[str]) -> list[list[str]]:
+    """Orders around ``cycle``, a Hamiltonian cycle of the graph: its
+    rotations and reversals, and orders broken in each way a check names."""
+    n = len(cycle)
+    k = rng.randrange(n)
+    turned = cycle[k:] + cycle[:k]
+    valid = turned[::-1] if rng.random() < 0.5 else turned
+    i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+    swapped = list(valid)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    repeat_known = list(valid)
+    repeat_known[i] = valid[j]
+    repeat_unknown = list(valid)
+    repeat_unknown[i] = repeat_unknown[j] = "x"
+    repeat_and_unknown = list(repeat_known)
+    if n > 2:  # an unknown label besides a repeated known one
+        repeat_and_unknown[next(p for p in range(n) if p not in (i, j))] = "y"
+    unknown = list(valid)
+    unknown[i] = "x"
+    return [
+        list(cycle),  # the hidden cycle's own first and closing steps
+        valid,
+        valid[:-1],
+        valid + [valid[0]],
+        valid + ["x"],
+        swapped,
+        repeat_known,
+        repeat_unknown,
+        repeat_and_unknown,
+        unknown,
+        rng.sample(cycle, n),  # often several non-adjacent steps
+        valid[1:] + valid[:1],
+        valid[::-1],
+    ]
+
+
+def test_cycle_violation_matches_the_label_level_reference():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        cycle = rng.sample([str(v) for v in range(1, n + 1)], n)
+        # a graph around a hidden cycle (a path or less below 3 vertices)
+        # with random chords, or with the closing step or another step left out
+        steps = list(zip(cycle, cycle[1:] + cycle[:1]))[: n if n > 2 else n - 1]
+        dropped = rng.choice([None, None, 0, len(steps) - 1])
+        edges = {tuple(sorted(s)) for k, s in enumerate(steps) if k != dropped}
+        for u in cycle:
+            for v in cycle:
+                if u < v and rng.random() < 0.2:
+                    edges.add((u, v))
+        g = Graph.from_edges(sorted(edges), vertices=cycle)
+        for order in cycle_orders(rng, cycle):
+            got = cycle_violation(g, order)
+            assert got == graph_reference.cycle_violation(g, order), (g.edges(), order)
+            assert cycle_violation(g, tuple(order)) == got
+            seen.add(got.split(":")[0] if got else got)
+    assert seen == {None, "length-mismatch", "duplicate-vertex", "unknown-vertex", "too-short", "non-adjacent-step"}
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 def test_handshake_on_random_graphs(seed):
     g = random_graph(random.Random(seed))
