@@ -58,7 +58,8 @@ class EdgeAssignment:
     changes logged since a trail mark.  ``steps`` counts elementary engine
     operations (state transitions plus worklist pops); undo does not lower
     it.  ``trail`` logs each transition's edge id and nothing else, so any
-    state can be backtracked: ``_undo`` works out the chains from the counts.
+    state can be backtracked: ``_undo`` works out the chain ends from the
+    counts, and ``n_undecided`` is the edges the trail has not logged.
     A new assignment has a whole-graph rule pass queued, so the first
     ``run`` visits every vertex ahead of anything a seed schedules.
 
@@ -73,8 +74,7 @@ class EdgeAssignment:
         "forced",
         "live",
         "chain_end",
-        "chain_size",
-        "n_undecided",
+        "n_forced",
         "conflict",
         "queue",
         "steps",
@@ -90,13 +90,16 @@ class EdgeAssignment:
         self.live = [len(inc) for inc in graph.incident]
         # the graph's own int object per vertex, not a fresh one per entry
         self.chain_end = list(graph.index.values())
-        self.chain_size = [1] * n
-        self.n_undecided = m
+        self.n_forced = 0
         self.conflict: Contradiction | None = None
         self.queue = deque(self.chain_end)
         self.steps = 0
         self.trail: list[int] = []  # the edge id of each transition, oldest first
         self.lo = 0
+
+    @property
+    def n_undecided(self) -> int:
+        return len(self.state) - len(self.trail)  # one record per transition
 
     @classmethod
     def for_graph(cls, graph: Graph) -> "EdgeAssignment":
@@ -131,8 +134,8 @@ class EdgeAssignment:
             prev, cur = cur, nxt
         return out
 
-    def _cycle_conflict(self, eid: int, start: int, size: int) -> None:
-        """Forcing ``eid`` would close a cycle of ``size`` < |V| vertices
+    def _cycle_conflict(self, eid: int, start: int) -> None:
+        """Forcing ``eid`` would close a cycle of fewer than |V| vertices
         through ``start``.  One missing exactly one vertex strands it: every
         neighbour it has sits saturated on the cycle."""
         self.state[eid] = FORCED  # include it in the witness walk
@@ -140,7 +143,7 @@ class EdgeAssignment:
         self.state[eid] = UNDECIDED
         lab = self.graph.labels
         n = len(lab)
-        if size == n - 1:
+        if len(cyc) == n - 1:
             stranded = n * (n - 1) // 2 - sum(cyc)  # indices 0..n-1 less the cycle's
             self.conflict = Contradiction(VERTEX_UNDERFILLED, vertex=lab[stranded])
         else:
@@ -161,25 +164,23 @@ class EdgeAssignment:
             self.conflict = Contradiction(VERTEX_OVERFILLED, vertex=lab[v])
             return
         end_a, end_b = self.chain_end[a], self.chain_end[b]
-        n = len(lab)
         # closing the chain that already joins a and b closes the Hamiltonian
         # cycle: a shorter chain's chord was deleted when the chain formed
         closing = end_a == b
         self.state[eid] = FORCED
         self.steps += 1
-        self.n_undecided -= 1
+        self.n_forced += 1
         self.forced[a] += 1
         self.forced[b] += 1
         self.queue.append(a)
         self.queue.append(b)
         self.trail.append(eid)
         if not closing:
-            merged = self.chain_size[end_a] + self.chain_size[end_b]
             self.chain_end[end_a] = end_b
             self.chain_end[end_b] = end_a
-            self.chain_size[end_a] = merged
-            self.chain_size[end_b] = merged
-            if merged < n:
+            # forced edges form disjoint paths, so the merged one misses a
+            # vertex exactly when fewer than |V| - 1 edges are forced
+            if self.n_forced < len(lab) - 1:
                 key = (end_a, end_b) if end_a < end_b else (end_b, end_a)
                 chord = self.graph.edge_id.get(key)
                 if chord is not None and self.state[chord] == UNDECIDED:
@@ -187,7 +188,7 @@ class EdgeAssignment:
                         # the chord is both required (two-live) and
                         # forbidden (it closes a short cycle): report the
                         # cycle, the real obstruction
-                        self._cycle_conflict(chord, end_a, merged)
+                        self._cycle_conflict(chord, end_a)
                         return
                     self._delete(chord)  # both ends keep two live edges
         # saturation applies the moment a vertex owns two cycle edges
@@ -214,7 +215,6 @@ class EdgeAssignment:
         self.state[eid] = DELETED
         self.trail.append(eid)
         self.steps += 1
-        self.n_undecided -= 1
         # both counts drop before either is checked, so undo is exact
         live = self.live
         live[a] -= 1
@@ -236,13 +236,11 @@ class EdgeAssignment:
         forced counts are lowered, an endpoint with none was a one-vertex
         chain.  One with one forced edge became interior when the edge
         merged its chain, and interior vertices are never written, so its
-        ``chain_end`` and ``chain_size`` still name its old chain.  The
-        edge that closed the cycle is the one whose ends each keep one
-        forced edge and name each other; it changed no chain."""
+        ``chain_end`` still names its old chain's other end.  The edge that
+        closed the cycle is the one whose ends each keep one forced edge and
+        name each other; it changed no chain."""
         trail, state, ends = self.trail, self.state, self.graph.ends
-        forced, live = self.forced, self.live
-        chain_end, chain_size = self.chain_end, self.chain_size
-        self.n_undecided += len(trail) - mark
+        forced, live, chain_end = self.forced, self.live, self.chain_end
         for _ in range(len(trail) - mark):
             x = trail.pop()
             a, b = ends[x]
@@ -250,17 +248,15 @@ class EdgeAssignment:
                 live[a] += 1
                 live[b] += 1
             else:
+                self.n_forced -= 1
                 forced[a] -= 1
                 forced[b] -= 1
                 if not forced[a] or chain_end[a] != b:  # not the closing edge
                     for v in a, b:
                         if forced[v]:  # v's old chain end takes v back
-                            end = chain_end[v]
-                            chain_end[end] = v
-                            chain_size[end] = chain_size[v]
+                            chain_end[chain_end[v]] = v
                         else:
                             chain_end[v] = v
-                            chain_size[v] = 1
             state[x] = UNDECIDED
         self.conflict = None
         self.queue.clear()

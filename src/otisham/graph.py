@@ -132,7 +132,7 @@ def graph_hash(graph: Graph) -> str:
 
     The edges go in one ``update`` each, so no text of them all is built,
     but the sorted list holds a label pair per edge at once: on OTIS(BF(81,80))
-    it sets the peak memory of ``ham-build``, 0.7 MB above the search's."""
+    it sets the peak memory of ``ham-build``, 1.1 MB above the search's."""
     lab = graph.labels
     h = hashlib.sha256("".join(["v" + v for v in sorted(lab)]).encode())
     edges = ((lab[a], lab[b]) for a, b in graph.ends)

@@ -120,11 +120,10 @@ def independence_report(pair: TreePair, graph: Graph) -> IndependenceReport:
             tout2[par2[u]] += tout2[u] - tin2[u]
     # shared[x]: the T2 child end of the edge from x to its T1 parent, or -1
     # where T2 does not have that edge
-    child2 = {(y, p) if y < p else (p, y): y for y, p in enumerate(par2) if y != r}
     shared = [-1] * n
     for x, p in enumerate(par1):
         if x != r:
-            shared[x] = child2.get((x, p) if x < p else (p, x), -1)
+            shared[x] = x if par2[x] == p else p if par2[p] == x else -1
 
     # a vertex count is at most n, so shared edges are counted in units of w_edge
     w_edge = n + 1

@@ -130,10 +130,12 @@ def assert_fixpoint_invariants(asg: EdgeAssignment) -> None:
     only in ``_force``, recounted from the edge states at a conflict-free
     fixpoint: every vertex has at most two forced edges, a vertex with two
     has no other live edge, and no undecided edge joins the two ends of a
-    forced chain shorter than |V|."""
+    forced chain shorter than |V|.  The derived totals ``n_forced`` and
+    ``n_undecided`` must match the states too."""
     graph, state = asg.graph, asg.state
     n = graph.n_vertices
     assert asg.conflict is None and not asg.queue
+    assert (asg.n_forced, asg.n_undecided) == (state.count(FORCED), state.count(UNDECIDED))
     forced, live = [0] * n, [0] * n
     for eid, (a, b) in enumerate(graph.ends):
         for v in (a, b):

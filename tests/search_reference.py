@@ -25,19 +25,18 @@ from otisham.graph import Graph, is_connected, is_hamiltonian_cycle
 
 
 def _copy(asg: EdgeAssignment) -> EdgeAssignment:
-    """An independent copy of ``asg`` with an empty trail and no steps."""
+    """An independent copy of ``asg`` with no steps."""
     new = object.__new__(EdgeAssignment)
     new.graph = asg.graph
     new.state = bytearray(asg.state)
     new.forced = asg.forced[:]
     new.live = asg.live[:]
     new.chain_end = asg.chain_end[:]
-    new.chain_size = asg.chain_size[:]
-    new.n_undecided = asg.n_undecided
+    new.n_forced = asg.n_forced
     new.conflict = asg.conflict
     new.queue = deque(asg.queue)
     new.steps = 0
-    new.trail = []
+    new.trail = asg.trail[:]  # n_undecided counts the edges it has not logged
     new.lo = 0
     return new
 

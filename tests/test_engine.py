@@ -267,7 +267,7 @@ def test_invariants_hold_at_every_fixpoint(monkeypatch):
 
 def undo_snapshot(asg: EdgeAssignment) -> tuple:
     return (bytes(asg.state), list(asg.forced), list(asg.live), list(asg.chain_end),
-            list(asg.chain_size), asg.n_undecided, list(asg.trail))
+            asg.n_forced, asg.n_undecided, list(asg.trail))
 
 
 def test_undo_restores_the_state_at_its_mark_exactly():
@@ -275,7 +275,7 @@ def test_undo_restores_the_state_at_its_mark_exactly():
     # each batch run to a fixpoint or a conflict; marks nest as the search's
     # do, each taken at a conflict-free fixpoint after a branch scan moved
     # the cursor.  The trail holds edge ids only, so undo must work out every
-    # chain end and size it restores from the counts.
+    # chain end it restores from the counts.
     rng = random.Random(20261019)
     undos = forces = 0
     for _ in range(3000):

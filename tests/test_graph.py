@@ -27,6 +27,9 @@ def test_basic_container_semantics():
     assert g.degree("a") == 1
     assert g.neighbors("b") == ["a"]
     assert g.has_edge("b", "a")
+    assert not g.has_edge("a", "a")
+    with pytest.raises(GraphError):
+        g.edge_index("a", "a")
     with pytest.raises(GraphError):
         g.add_edge("a", "a")
     with pytest.raises(GraphError):

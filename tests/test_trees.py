@@ -8,6 +8,7 @@ from otisham.graph import Graph, GraphError
 from otisham.topology import gen_bowtie, gen_cycle, otis
 from otisham.trees import TreePair, build_ists, independence_report
 
+import ist_reference
 from ist_reference import is_spanning_tree, tree_edges
 
 
@@ -43,6 +44,17 @@ def test_identical_trees_are_not_independent():
     pair = build_ists(("1", "2", "3", "4", "5"), "1")
     forged = TreePair(root=pair.root, parent1=pair.parent2, parent2=pair.parent2)
     assert not independence_report(forged, c5).vertex_disjoint
+
+
+def test_an_edge_shared_in_opposite_directions_is_reported():
+    # v's root paths v-a-b-r and v-b-a-r share the edge {a, b}, whose child
+    # end is a in the first tree and b in the second; no edge has the same
+    # child end in both trees
+    graph = Graph.from_edges([("r", "a"), ("r", "b"), ("a", "b"), ("a", "v"), ("b", "v")])
+    pair = TreePair("r", {"v": "a", "a": "b", "b": "r"}, {"v": "b", "b": "a", "a": "r"})
+    report = independence_report(pair, graph)
+    assert report == ist_reference.independence_report(pair, graph)
+    assert report == (False, False, "paths to v share a")
 
 
 def test_root_with_a_parent_is_not_a_tree_pair():
