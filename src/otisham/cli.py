@@ -1,11 +1,13 @@
 """Command line front end.
 
 Exit codes: 0 success / verdict obtained, 2 inconclusive (budget),
-3 verification mismatch, 4 usage error: a bad option, an unreadable or
-malformed input file, or a label or pair the graph does not have, reported
-as one ``error:`` line.  ``--json`` output is byte-identical across runs for
-identical inputs, budgets and seed; timings are printed only in
-human-readable mode.
+3 verification mismatch, 4 usage error: a bad option or size (such as
+``sweep --max-base`` below 5), a ``gen`` option missing or foreign to its
+family, an unreadable or malformed input file, or a label or pair the
+graph does not have.  Handlers raise ``GraphError`` for these and ``main``
+alone prints it as one ``error:`` line.  ``--json`` output is
+byte-identical across runs for identical inputs, budgets and seed;
+timings are printed only in human-readable mode.
 """
 
 from __future__ import annotations
@@ -111,29 +113,25 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
 
 
-def cmd_gen(args) -> int:
-    def usage(flag):
-        print(f"error: gen {args.family} requires {flag}", file=sys.stderr)
-        return EXIT_USAGE
+# family -> (generator, the options it takes, in call order)
+_GEN = {
+    "bowtie": (gen_bowtie, ("m", "n")),
+    "butterfly": (gen_butterfly, ("dim",)),
+    "cycle": (gen_cycle, ("k",)),
+    "path": (gen_path, ("k",)),
+    "complete": (gen_complete, ("k",)),
+}
 
-    try:
-        if args.family == "bowtie":
-            if args.m is None or args.n is None:
-                return usage("--m and --n")
-            graph = gen_bowtie(args.m, args.n)
-        elif args.family == "butterfly":
-            if args.dim is None:
-                return usage("--dim")
-            graph = gen_butterfly(args.dim)
-        else:
-            if args.k is None:
-                return usage("--k")
-            gens = {"cycle": gen_cycle, "path": gen_path, "complete": gen_complete}
-            graph = gens[args.family](args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _write_graph(graph, args.out, args.dot)
+
+def cmd_gen(args) -> int:
+    gen, opts = _GEN[args.family]
+    values = [getattr(args, opt) for opt in opts]
+    if None in values:
+        raise GraphError(f"gen {args.family} requires {' and '.join('--' + opt for opt in opts)}")
+    stray = [f"--{opt}" for opt in ("m", "n", "dim", "k") if opt not in opts and getattr(args, opt) is not None]
+    if stray:
+        raise GraphError(f"gen {args.family} takes no {' or '.join(stray)}")
+    _write_graph(gen(*values), args.out, args.dot)
     return EXIT_OK
 
 
@@ -188,13 +186,8 @@ def cmd_refute_count(args) -> int:
 
 def cmd_ham_build(args) -> int:
     if args.emit_key_edges and (args.dot or args.out):
-        print("error: --emit-key-edges takes neither --dot nor --out", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        BowtieParams(args.m, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise GraphError("--emit-key-edges takes neither --dot nor --out")
+    BowtieParams(args.m, args.n)  # classify normalizes; the error names the pair as given
     # even-even pairs have no table; they get the same unsupported-class
     # report below that a build gives
     cls = classify(args.m, args.n)
@@ -228,9 +221,10 @@ def cmd_ham_build(args) -> int:
     if args.dot:
         _write_graph(result.graph, args.out, True)
         return EXIT_OK
+    digest = graph_hash(result.graph)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(write_cycle_certificate(result.graph, result.cycle) + "\n")
+            fh.write(write_cycle_certificate(result.graph, result.cycle, digest) + "\n")
     payload = {
         "m": args.m,
         "n": args.n,
@@ -238,7 +232,7 @@ def cmd_ham_build(args) -> int:
         "cycle": list(result.cycle),
         "verified": True,
         "steps": result.steps,
-        "graph_hash": graph_hash(result.graph),
+        "graph_hash": digest,
     }
     _emit(args, payload)
     return EXIT_OK
@@ -381,8 +375,7 @@ def _sweep_one(m: int, n: int, budget: SearchBudget) -> dict:
 
 def cmd_sweep(args) -> int:
     if args.max_base < 5:
-        print("error: --max-base must be >= 5", file=sys.stderr)
-        return EXIT_USAGE
+        raise GraphError("--max-base must be >= 5")
     budget = _budget(args)
     entries = [_sweep_one(m, n, budget) for m, n in sweep_pairs(args.max_base)]
     entries.sort(key=lambda e: (e["m"], e["n"]))

@@ -17,7 +17,8 @@ from collections import deque
 
 
 class GraphError(ValueError):
-    """Raised for malformed graph mutations or queries."""
+    """The package's bad-input error: a malformed graph, query, file or
+    certificate, or a size no generator takes.  ``cli.main`` exits 4 on it."""
 
 
 class Graph:

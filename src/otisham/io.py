@@ -96,9 +96,11 @@ def to_dot(graph: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_cycle_certificate(graph: Graph, cycle) -> str:
+def write_cycle_certificate(graph: Graph, cycle, digest: str | None = None) -> str:
+    """``digest``, when given, is ``graph_hash(graph)`` worked out already."""
     order = list(cycle)
-    payload = {"graph_hash": graph_hash(graph), "order": order, "verified": is_hamiltonian_cycle(graph, order)}
+    digest = graph_hash(graph) if digest is None else digest
+    payload = {"graph_hash": digest, "order": order, "verified": is_hamiltonian_cycle(graph, order)}
     return json.dumps(payload, indent=None, separators=(",", ":"), sort_keys=True)
 
 

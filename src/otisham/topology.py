@@ -32,7 +32,7 @@ class BowtieParams(_CycleLengths):
 
     def __new__(cls, m: int, n: int) -> "BowtieParams":
         if m < 3 or n < 3:
-            raise ValueError(f"cycle lengths must be >= 3, got ({m}, {n})")
+            raise GraphError(f"cycle lengths must be >= 3, got ({m}, {n})")
         return super().__new__(cls, m, n)
 
     @classmethod
@@ -83,7 +83,7 @@ def gen_butterfly(dim: int) -> Graph:
     vertices.  (level, word) connects to level+1 mod dim with the word
     unchanged or with bit (level+1 mod dim) flipped."""
     if dim < 3:
-        raise ValueError(f"butterfly dimension must be >= 3, got {dim}")
+        raise GraphError(f"butterfly dimension must be >= 3, got {dim}")
     g = Graph()
     for level in range(dim):
         for word in range(1 << dim):
@@ -130,19 +130,19 @@ def otis(base: Graph) -> Graph:
 
 def gen_cycle(k: int) -> Graph:
     if k < 3:
-        raise ValueError(f"cycle needs k >= 3, got {k}")
+        raise GraphError(f"cycle needs k >= 3, got {k}")
     return Graph.from_edges((str(v), str(v % k + 1)) for v in range(1, k + 1))
 
 
 def gen_path(k: int) -> Graph:
     if k < 1:
-        raise ValueError(f"path needs k >= 1, got {k}")
+        raise GraphError(f"path needs k >= 1, got {k}")
     labels = [str(v) for v in range(1, k + 1)]
     return Graph.from_edges(zip(labels, labels[1:]), vertices=labels)
 
 
 def gen_complete(k: int) -> Graph:
     if k < 3:
-        raise ValueError(f"complete graph needs k >= 3, got {k}")
+        raise GraphError(f"complete graph needs k >= 3, got {k}")
     labels = [str(v) for v in range(1, k + 1)]
     return Graph.from_edges(combinations(labels, 2), vertices=labels)

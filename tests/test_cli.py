@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from otisham import cli
+from otisham import io as otisham_io
+from otisham.graph import graph_hash
 
 from conftest import peak_bytes
 
@@ -376,6 +379,14 @@ BAD_INPUTS = {
     "OTIS base of one vertex": (["otis", "--in", "{file}"], "V 1\na\n"),
     "OTIS base of no vertex": (["otis", "--in", "{file}"], "V 0\n"),
     "vertex count line with a trailing token": (["decide", "--in", "{file}"], "V 2 x\n1 2\n"),
+    "bowtie without --n": (["gen", "bowtie", "--m", "3"], None),
+    "butterfly without --dim": (["gen", "butterfly"], None),
+    "cycle without --k": (["gen", "cycle"], None),
+    "path of no vertex": (["gen", "path", "--k", "0"], None),
+    "complete graph of two vertices": (["gen", "complete", "--k", "2"], None),
+    "butterfly of dimension 2": (["gen", "butterfly", "--dim", "2"], None),
+    "cycle given --m": (["gen", "cycle", "--k", "5", "--m", "3"], None),
+    "sweep below the smallest base": (["sweep", "--max-base", "4"], None),
 }
 
 
@@ -404,3 +415,48 @@ def test_bad_input_fails_closed(case, tmp_path):
     errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1 and "Traceback" not in proc.stderr, proc.stderr
 
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "bowtie", "--m", "3"], "gen bowtie requires --m and --n"),
+    (["gen", "butterfly"], "gen butterfly requires --dim"),
+    (["gen", "cycle", "--k", "5", "--m", "3"], "gen cycle takes no --m"),
+    (["gen", "bowtie", "--m", "3", "--n", "4", "--dim", "3", "--k", "5"], "gen bowtie takes no --dim or --k"),
+    (["gen", "path", "--k", "0"], "path needs k >= 1, got 0"),
+    (["sweep", "--max-base", "4"], "--max-base must be >= 5"),
+    (["ham-build", "--m", "7", "--n", "7", "--emit-key-edges", "--dot"],
+     "--emit-key-edges takes neither --dot nor --out"),
+])
+def test_bad_input_message(argv, message, capsys):
+    assert call_main(capsys, argv) == (4, "", f"error: {message}\n")
+
+
+def test_ham_build_out_hashes_the_graph_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_hash(graph):
+        calls.append(graph.n_vertices)
+        return graph_hash(graph)
+
+    monkeypatch.setattr(cli, "graph_hash", counting_hash)
+    monkeypatch.setattr(otisham_io, "graph_hash", counting_hash)
+    cert = tmp_path / "c.json"
+    rc, out, err = call_main(capsys, ["ham-build", "--m", "7", "--n", "7", "--out", str(cert), "--json"])
+    assert (rc, err, calls) == (0, "", [169])
+    payload = json.loads(out)
+    want = {"graph_hash": payload["graph_hash"], "order": payload["cycle"], "verified": True}
+    assert cert.read_text() == json.dumps(want, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def test_only_main_reports_a_usage_error():
+    # a handler raises GraphError for bad input; main alone turns it into the
+    # one error line and exit 4, and argparse's errors go through _Parser.error
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    users = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "EXIT_USAGE"
+        or isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value == 4
+    ]
+    assert sorted(users) == ["error", "main"]

@@ -151,3 +151,18 @@ def test_fixture_generators():
         gen_cycle(2)
     with pytest.raises(ValueError):
         gen_path(0)
+
+
+@pytest.mark.parametrize("make,args", [
+    (BowtieParams, (2, 5)),
+    (gen_bowtie, (5, 1)),
+    (gen_butterfly, (2,)),
+    (gen_cycle, (2,)),
+    (gen_path, (0,)),
+    (gen_complete, (2,)),
+], ids=["BowtieParams", "gen_bowtie", "gen_butterfly", "gen_cycle", "gen_path", "gen_complete"])
+def test_size_errors_are_graph_errors(make, args):
+    # the CLI reports GraphError as bad input; ValueError callers see no change
+    with pytest.raises(GraphError) as info:
+        make(*args)
+    assert isinstance(info.value, ValueError)
