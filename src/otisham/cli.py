@@ -40,7 +40,7 @@ from .engine import (
 from .graph import Graph, GraphError, cycle_violation, graph_hash
 from .io import read_cycle_certificate, read_edge_list, read_seed, to_dot, write_cycle_certificate, write_edge_list
 from .topology import (
-    BowtieParams,
+    bowtie_pair,
     gen_bowtie,
     gen_butterfly,
     gen_complete,
@@ -187,7 +187,6 @@ def cmd_refute_count(args) -> int:
 def cmd_ham_build(args) -> int:
     if args.emit_key_edges and (args.dot or args.out):
         raise GraphError("--emit-key-edges takes neither --dot nor --out")
-    BowtieParams(args.m, args.n)  # classify normalizes; the error names the pair as given
     # even-even pairs have no table; they get the same unsupported-class
     # report below that a build gives
     cls = classify(args.m, args.n)
@@ -349,15 +348,15 @@ def sweep_pairs(max_base: int) -> list[tuple[int, int]]:
 
 
 def _sweep_one(m: int, n: int, budget: SearchBudget) -> dict:
-    p = BowtieParams.normalized(m, n)
-    entry = {"m": p.m, "n": p.n, "class": classify(p.m, p.n).value}
-    result = build_ham_cycle(p.m, p.n, budget=budget)
+    m, n = bowtie_pair(m, n)
+    result = build_ham_cycle(m, n, budget=budget)
+    entry = {"m": m, "n": n, "class": result.param_class.value}
     if isinstance(result, FailureReport):
         entry["status"] = "unsupported" if result.kind == UNSUPPORTED_CLASS else "failed"
         entry["detail"] = result.detail
         return entry
     graph = result.graph
-    roots = [graph.vertices()[0], otis_label(str(p.m), str(p.m)), graph.vertices()[-1]]
+    roots = [graph.vertices()[0], otis_label(str(m), str(m)), graph.vertices()[-1]]
     independent = True
     for root in roots:
         pair = build_ists(result.cycle, root)

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .engine import INCONCLUSIVE, Contradiction, EdgeAssignment, SearchBudget, decide, propagate
 from .graph import Graph, is_hamiltonian_cycle
-from .topology import BowtieParams, gen_bowtie, otis, otis_label
+from .topology import bowtie_pair, gen_bowtie, otis, otis_label
 
 
 class ParamClass(enum.Enum):
@@ -49,9 +49,8 @@ class ParamClass(enum.Enum):
 
 
 def classify(m: int, n: int) -> ParamClass:
-    """Total classification of normalized bowtie parameters."""
-    p = BowtieParams.normalized(m, n)
-    m, n = p.m, p.n
+    """Total classification of bowtie pairs, in either order."""
+    m, n = bowtie_pair(m, n)
     if m % 2 == 0 and n % 2 == 0:
         return ParamClass.EVEN_EVEN
     if n % 2 == 0:
@@ -294,17 +293,17 @@ _TABLES = {
 def key_edges(m: int, n: int) -> list[KeyEdge]:
     """The table deletions for a supported class, validated against the
     base graph and deduplicated keeping the first provenance tag."""
-    p = BowtieParams.normalized(m, n)
-    cls = classify(p.m, p.n)
+    m, n = bowtie_pair(m, n)
+    cls = classify(m, n)
     if cls not in _TABLES:
         raise ValueError(f"no key-edge table for class {cls.value}")
-    rows = _Rows(p.m, p.n)
+    rows = _Rows(m, n)
     _TABLES[cls](rows)
-    base = gen_bowtie(p.m, p.n)
+    base = gen_bowtie(m, n)
     seen: set[tuple[int, int, int]] = set()
     out: list[KeyEdge] = []
     for ke in rows.out:
-        if not 1 <= ke.cluster <= p.last_vertex:
+        if not 1 <= ke.cluster <= rows.i:
             raise KeyEdgeError(f"{ke.tag}: cluster {ke.cluster} out of range")
         if not base.has_edge(str(ke.a), str(ke.b)):
             raise KeyEdgeError(f"{ke.tag}: ({ke.a},{ke.b}) is not a base edge")
@@ -339,8 +338,8 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
     cycle it returns.  Returns a BuildResult or a FailureReport; never an
     unverified cycle.
     """
-    p = BowtieParams.normalized(m, n)
-    cls = classify(p.m, p.n)
+    m, n = bowtie_pair(m, n)
+    cls = classify(m, n)
     if cls is ParamClass.EVEN_EVEN:
         return FailureReport(
             kind=UNSUPPORTED_CLASS,
@@ -348,13 +347,13 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
             detail="no construction exists for even-even pairs; "
             "(4,4) and (4,6) are proven non-Hamiltonian",
         )
-    graph = otis(gen_bowtie(p.m, p.n))
+    graph = otis(gen_bowtie(m, n))
 
     def contradiction(detail: str) -> FailureReport:
         return FailureReport("contradiction", cls, detail)
 
     asg = EdgeAssignment.for_graph(graph)
-    for ke in key_edges(p.m, p.n):
+    for ke in key_edges(m, n):
         asg.seed_delete(otis_label(str(ke.cluster), str(ke.a)),
                         otis_label(str(ke.cluster), str(ke.b)))
         if asg.conflict is not None:

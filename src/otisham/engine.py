@@ -369,10 +369,10 @@ def decide(
     and deletes the edge.  Search memory is O(V + E + depth).
     """
     budget = budget or SearchBudget()
-    if graph.n_vertices < 3 or not is_connected(graph) or min(map(len, graph.incident)) < 2:
-        return HamVerdict(NON_HAMILTONIAN, nodes=0, max_depth=0)
     if seed is not None and seed.graph is not graph:
         raise ValueError("seed assignment was built for a different graph")
+    if graph.n_vertices < 3 or not is_connected(graph) or min(map(len, graph.incident)) < 2:
+        return HamVerdict(NON_HAMILTONIAN, nodes=0, max_depth=0)
     asg = seed if seed is not None else EdgeAssignment.for_graph(graph)
     steps0 = asg.steps
     t0 = time.monotonic()

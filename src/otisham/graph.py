@@ -4,10 +4,11 @@ Vertex labels are opaque strings, numbered 0, 1, 2, ... in order of first
 appearance (``labels[k]``, ``index[label]``).  Edge ids count insertions:
 ``ends[e]`` holds edge e's endpoint indices, lower first, ``edge_id`` maps
 that pair back to e, and ``incident[v]`` lists v's edge ids in insertion
-order.  The generators and the engine read these arrays; only this
-module maps labels to indices.  The label-level methods are views over the
-arrays, and ``edges()`` keeps each edge's insertion orientation, so
-exports are reproducible run to run.
+order.  Only ``add_vertex``, which returns a label's index, and ``link``,
+the one way an edge enters, write these arrays; the generators and the
+engine read them.  The label-level methods are views over the arrays, and
+``edges()`` keeps each edge's insertion orientation, so exports are
+reproducible run to run.
 """
 
 from __future__ import annotations
@@ -40,24 +41,19 @@ class Graph:
         for v in vertices:
             g.add_vertex(v)
         for u, v in edges:
-            g.add_vertex(u)
-            g.add_vertex(v)
-            g.add_edge(u, v)
+            g.link(g.add_vertex(u), g.add_vertex(v))
         return g
 
-    def add_vertex(self, v: str) -> None:
-        if v.split() != [v]:  # empty, or split where str.isspace() holds
-            raise GraphError(f"vertex label must be non-empty and whitespace-free: {v!r}")
-        if v not in self.index:
-            self.index[v] = len(self.labels)
+    def add_vertex(self, v: str) -> int:
+        """The index of label ``v``, numbering it next if it is new."""
+        k = self.index.get(v)
+        if k is None:
+            if v.split() != [v]:  # empty, or split where str.isspace() holds
+                raise GraphError(f"vertex label must be non-empty and whitespace-free: {v!r}")
+            k = self.index[v] = len(self.labels)
             self.labels.append(v)
             self.incident.append([])
-
-    def add_edge(self, u: str, v: str) -> None:
-        if u not in self.index or v not in self.index:
-            missing = u if u not in self.index else v
-            raise GraphError(f"edge endpoint {missing!r} is not a declared vertex")
-        self.link(self.index[u], self.index[v])
+        return k
 
     def link(self, a: int, b: int) -> None:
         """Add the edge between vertex indices ``a`` and ``b``, oriented a to b."""

@@ -15,9 +15,7 @@ def write_edge_list(graph: Graph) -> str:
     round-trips.
     """
     lines = [f"V {graph.n_vertices}"]
-    for v in graph.vertices():
-        if graph.degree(v) == 0:
-            lines.append(v)
+    lines += [v for v, inc in zip(graph.labels, graph.incident) if not inc]
     for u, v in graph.edges():
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
@@ -38,9 +36,7 @@ def read_edge_list(text: str) -> Graph:
         if len(parts) == 1:
             g.add_vertex(parts[0])
         elif len(parts) == 2:
-            g.add_vertex(parts[0])
-            g.add_vertex(parts[1])
-            g.add_edge(parts[0], parts[1])
+            g.link(g.add_vertex(parts[0]), g.add_vertex(parts[1]))
         else:
             raise GraphError(f"bad edge line: {ln!r}")
     if g.n_vertices != count:

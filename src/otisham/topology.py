@@ -1,74 +1,51 @@
 """Generators: bowtie and wrapped-butterfly base graphs, standard fixtures,
 and the OTIS (swapped network) composition operator.
 
-OTIS vertices are labelled ``"g:u"`` where ``g`` is the cluster address and
-``u`` the processor address, both base-graph labels; over an N-vertex base
-vertex <g,u> has index g*N + u.
+``bowtie_pair`` checks and orders every bowtie pair.  OTIS vertex ``"g:u"``
+has cluster address ``g`` and processor address ``u``, both base-graph
+labels; over an N-vertex base it has index g*N + u.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
 
 from .graph import Graph, GraphError
 
 
-class _CycleLengths(NamedTuple):
-    m: int
-    n: int
-
-
-class BowtieParams(_CycleLengths):
-    """Canonical parameters for the two-cycles-at-a-cut-vertex graph.
+def bowtie_pair(m: int, n: int) -> tuple[int, int]:
+    """The bowtie pair (m, n) in canonical order, after checking both cycle
+    lengths are at least 3 (the error names the pair as given).
 
     ``m`` is the left cycle length (labels 1..c, c = m), ``n`` the right
-    cycle length (labels c..i, i = m + n - 1).  Pairs are normalised so
-    that m <= n when both sides share parity, and the odd side is the
-    left cycle when parities differ.
+    cycle length (labels c..i, i = m + n - 1).  Pairs are ordered so that
+    m <= n when both sides share parity, and the odd side is the left
+    cycle when parities differ.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, m: int, n: int) -> "BowtieParams":
-        if m < 3 or n < 3:
-            raise GraphError(f"cycle lengths must be >= 3, got ({m}, {n})")
-        return super().__new__(cls, m, n)
-
-    @classmethod
-    def normalized(cls, m: int, n: int) -> "BowtieParams":
-        if m % 2 == n % 2:
-            m, n = min(m, n), max(m, n)
-        elif n % 2 == 1:  # odd side goes left
-            m, n = n, m
-        return cls(m, n)
-
-    @property
-    def cut_vertex(self) -> int:
-        return self.m
-
-    @property
-    def last_vertex(self) -> int:
-        return self.m + self.n - 1
+    if m < 3 or n < 3:
+        raise GraphError(f"cycle lengths must be >= 3, got ({m}, {n})")
+    if m % 2 == n % 2:
+        return min(m, n), max(m, n)
+    return (n, m) if n % 2 else (m, n)  # odd side goes left
 
 
 def gen_bowtie(m: int, n: int) -> Graph:
     """Two cycles C_m, C_n sharing the single cut vertex c = m.
 
     Vertices 1..i with i = m + n - 1; the left cycle is 1-2-...-c-1 and the
-    right cycle c-(c+1)-...-i-c.
+    right cycle c-(c+1)-...-i-c.  Vertex v has index v - 1.
     """
-    p = BowtieParams.normalized(m, n)
-    c, i = p.cut_vertex, p.last_vertex
+    m, n = bowtie_pair(m, n)
+    c, i = m, m + n - 1
     g = Graph()
     for v in range(1, i + 1):
         g.add_vertex(str(v))
-    for v in range(1, c):
-        g.add_edge(str(v), str(v + 1))
-    g.add_edge(str(c), "1")
-    for v in range(c, i):
-        g.add_edge(str(v), str(v + 1))
-    g.add_edge(str(i), str(c))
+    for v in range(c - 1):
+        g.link(v, v + 1)
+    g.link(c - 1, 0)
+    for v in range(c - 1, i - 1):
+        g.link(v, v + 1)
+    g.link(i - 1, c - 1)
     return g
 
 
@@ -85,15 +62,14 @@ def gen_butterfly(dim: int) -> Graph:
     if dim < 3:
         raise GraphError(f"butterfly dimension must be >= 3, got {dim}")
     g = Graph()
-    for level in range(dim):
-        for word in range(1 << dim):
-            g.add_vertex(butterfly_label(level, word, dim))
-    for level in range(dim):
+    size = 1 << dim
+    for u in range(dim * size):  # (level, word) has index level * 2**dim + word
+        g.add_vertex(butterfly_label(*divmod(u, size), dim))
+    for u in range(dim * size):
+        level, word = divmod(u, size)
         nxt = (level + 1) % dim
-        for word in range(1 << dim):
-            u = butterfly_label(level, word, dim)
-            g.add_edge(u, butterfly_label(nxt, word, dim))
-            g.add_edge(u, butterfly_label(nxt, word ^ (1 << nxt), dim))
+        g.link(u, nxt * size + word)
+        g.link(u, nxt * size + (word ^ (1 << nxt)))
     return g
 
 
@@ -112,13 +88,11 @@ def otis(base: Graph) -> Graph:
     if size < 2:
         raise GraphError("OTIS base needs at least 2 vertices")
     g = Graph()
-    for cluster in verts:
-        for processor in verts:
-            g.add_vertex(otis_label(cluster, processor))
+    # link stores these, the ints ``index`` holds, not a fresh int per edge end
+    ids = [g.add_vertex(otis_label(cluster, processor)) for cluster in verts for processor in verts]
     if g.n_vertices != size * size:
         raise GraphError("base labels collide once joined into OTIS labels")
     base_edges = base.oriented_ends()
-    ids = list(g.index.values())  # link stores these, not a fresh int per edge end
     for offset in range(0, size * size, size):
         for a, b in base_edges:
             g.link(ids[offset + a], ids[offset + b])

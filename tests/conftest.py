@@ -14,7 +14,7 @@ from otisham.constructive import BuildResult, build_ham_cycle, key_edges
 from otisham.engine import DELETED, FORCED, UNDECIDED, Contradiction, EdgeAssignment, propagate
 from otisham.graph import Graph, _eccentricity
 from otisham.topology import (
-    BowtieParams,
+    bowtie_pair,
     gen_bowtie,
     gen_butterfly,
     gen_complete,
@@ -51,8 +51,7 @@ def sweep_parameter_pairs(max_base: int = 21) -> list[tuple[int, int]]:
     out = []
     for a, b in sweep_pairs(max_base):
         if not (a % 2 == 0 and b % 2 == 0):
-            p = BowtieParams.normalized(a, b)
-            out.append((p.m, p.n))
+            out.append(bowtie_pair(a, b))
     return out
 
 
@@ -88,7 +87,7 @@ def peak_bytes(fn):
 def sweep_roots(m: int, n: int, graph: Graph) -> list[str]:
     """The three IST roots ``sweep`` checks on OTIS(BF(m,n)): the first
     vertex, <c,c> at the cut vertex c and the last vertex."""
-    c = str(BowtieParams.normalized(m, n).cut_vertex)
+    c = str(bowtie_pair(m, n)[0])
     return [graph.vertices()[0], otis_label(c, c), graph.vertices()[-1]]
 
 
@@ -196,7 +195,7 @@ def random_graph(rng: random.Random, max_vertices: int = 10) -> Graph:
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
             if rng.random() < p:
-                g.add_edge(str(u), str(v))
+                g.link(g.add_vertex(str(u)), g.add_vertex(str(v)))
     return g
 
 
@@ -212,6 +211,6 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 8) -> Graph:
         for u in range(1, n + 1):
             for v in range(u + 1, n + 1):
                 if rng.random() < p:
-                    g.add_edge(str(u), str(v))
+                    g.link(g.add_vertex(str(u)), g.add_vertex(str(v)))
         if is_connected(g):
             return g

@@ -21,7 +21,7 @@ from otisham.constructive import (
 from otisham.engine import Contradiction, SHORT_SUBCYCLE, VERTEX_UNDERFILLED, decide
 from otisham.graph import Graph, is_hamiltonian_cycle
 from otisham.topology import (
-    BowtieParams,
+    bowtie_pair,
     gen_bowtie,
     gen_butterfly,
     gen_complete,
@@ -308,10 +308,10 @@ def test_criterion_7_edge_disjoint_ceiling():
         for b in range(a, 8):
             if a + b - 1 > 7:
                 continue
-            p = BowtieParams.normalized(a, b)
-            result = build_ham_cycle(p.m, p.n)
+            m, n = bowtie_pair(a, b)
+            result = build_ham_cycle(m, n)
             if isinstance(result, FailureReport):
-                assert classify(p.m, p.n) is ParamClass.EVEN_EVEN
+                assert classify(m, n) is ParamClass.EVEN_EVEN
                 continue
             used = edge_set(result.cycle)
             stripped = Graph()
@@ -319,10 +319,10 @@ def test_criterion_7_edge_disjoint_ceiling():
                 stripped.add_vertex(v)
             for u, v in result.graph.edges():
                 if tuple(sorted((u, v))) not in used:
-                    stripped.add_edge(u, v)
+                    stripped.link(stripped.add_vertex(u), stripped.add_vertex(v))
             verdict = decide(stripped)
-            assert verdict.status == "non-hamiltonian", (p.m, p.n)
-            tested.append((p.m, p.n))
+            assert verdict.status == "non-hamiltonian", (m, n)
+            tested.append((m, n))
     assert tested, "no instances with base <= 7"
     report(
         "criterion 7 (edge-disjoint ceiling)",

@@ -15,7 +15,7 @@ from otisham.constructive import (
 )
 from otisham.engine import decide
 from otisham.graph import is_hamiltonian_cycle
-from otisham.topology import BowtieParams, gen_bowtie, otis
+from otisham.topology import bowtie_pair, gen_bowtie, otis
 
 from conftest import edge_set, sweep_parameter_pairs
 
@@ -40,10 +40,10 @@ def test_classify_examples():
 def test_classify_is_total_and_consistent(m, n):
     cls = classify(m, n)
     assert isinstance(cls, ParamClass)
-    p = BowtieParams.normalized(m, n)
-    if p.m % 2 == 0 and p.n % 2 == 0:
+    m, n = bowtie_pair(m, n)
+    if m % 2 == 0 and n % 2 == 0:
         assert cls is ParamClass.EVEN_EVEN
-    elif p.n % 2 == 0:
+    elif n % 2 == 0:
         assert cls in (ParamClass.ODD_EVEN_3, ParamClass.ODD_EVEN_GENERAL)
     else:
         assert cls in (
@@ -189,5 +189,5 @@ def test_second_edge_disjoint_cycle_impossible_small():
             stripped.add_vertex(v)
         for u, v in result.graph.edges():
             if tuple(sorted((u, v))) not in used:
-                stripped.add_edge(u, v)
+                stripped.link(stripped.add_vertex(u), stripped.add_vertex(v))
         assert not decide(stripped).is_hamiltonian

@@ -29,6 +29,7 @@ from conftest import (
     staged_propagation,
     table_seed,
 )
+import search_reference
 from ham_oracle import oracle_all_cycles, oracle_is_hamiltonian
 
 
@@ -135,6 +136,15 @@ def test_decide_rejects_a_seed_built_for_another_graph():
     seed.seed_force("1", "3")
     with pytest.raises(ValueError):
         decide(g2, seed=seed)
+
+
+@pytest.mark.parametrize("graph", [gen_path(3), gen_cycle(4)], ids=["P_3", "C_4"])
+@pytest.mark.parametrize("decider", [decide, search_reference.decide], ids=["engine", "reference"])
+def test_foreign_seed_is_rejected_before_the_guard(graph, decider):
+    # P_3 fails the connectivity and minimum-degree guard, C_4 passes it;
+    # a seed built for another graph is an error on both
+    with pytest.raises(ValueError, match="seed assignment was built for a different graph"):
+        decider(graph, seed=EdgeAssignment(gen_complete(4)))
 
 
 def test_seeded_search_memory_is_small_and_completes_the_seed():

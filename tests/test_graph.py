@@ -1,10 +1,13 @@
+import ast
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import otisham
 from otisham.graph import (
     Graph,
     GraphError,
@@ -13,7 +16,7 @@ from otisham.graph import (
     is_hamiltonian_cycle,
 )
 from otisham.io import read_edge_list, to_dot, write_cycle_certificate, read_cycle_certificate, write_edge_list
-from otisham.topology import gen_bowtie, gen_cycle, gen_path, otis
+from otisham.topology import gen_bowtie, gen_butterfly, gen_cycle, gen_path, otis
 
 import graph_reference
 from conftest import GOLDEN_BASES, random_graph
@@ -21,9 +24,7 @@ from conftest import GOLDEN_BASES, random_graph
 
 def test_basic_container_semantics():
     g = Graph()
-    g.add_vertex("a")
-    g.add_vertex("b")
-    g.add_edge("a", "b")
+    g.link(g.add_vertex("a"), g.add_vertex("b"))
     assert g.degree("a") == 1
     assert g.neighbors("b") == ["a"]
     assert g.has_edge("b", "a")
@@ -31,11 +32,9 @@ def test_basic_container_semantics():
     with pytest.raises(GraphError):
         g.edge_index("a", "a")
     with pytest.raises(GraphError):
-        g.add_edge("a", "a")
+        g.link(g.add_vertex("a"), g.add_vertex("a"))
     with pytest.raises(GraphError):
-        g.add_edge("a", "b")  # parallel
-    with pytest.raises(GraphError):
-        g.add_edge("a", "zzz")  # undeclared endpoint
+        g.link(g.add_vertex("a"), g.add_vertex("b"))  # parallel
 
 
 def test_cycle_graph_degrees():
@@ -231,16 +230,91 @@ def test_graph_hash_insensitive_to_insertion_order():
     assert graph_hash(g1) == graph_hash(g2)
 
 
-def test_graph_hash_matches_the_per_update_reference():
+def reference_graphs() -> list[Graph]:
+    """200 random graphs, every golden base and its OTIS network, and one
+    graph whose labels are prefixes of one another, with and without a colon."""
     rng = random.Random(20260808)
     graphs = [random_graph(rng) for _ in range(200)]
     for name in sorted(GOLDEN_BASES):
         base = GOLDEN_BASES[name]()
         graphs += [base, otis(base)]
-    # labels that are prefixes of one another, with and without a colon
     graphs.append(Graph.from_edges([("a", "ab"), ("ab", "a:b"), ("a:b", "a")], vertices=["b"]))
-    for g in graphs:
+    return graphs
+
+
+def test_graph_hash_matches_the_per_update_reference():
+    for g in reference_graphs():
         assert graph_hash(g) == graph_reference.graph_hash(g), g
+
+
+def test_edge_lists_and_from_edges_match_the_label_level_reference():
+    arrays = graph_reference.arrays
+    for g in reference_graphs():
+        text = write_edge_list(g)
+        assert text == graph_reference.write_edge_list(g)
+        assert arrays(read_edge_list(text)) == arrays(graph_reference.read_edge_list(text))
+        edges, verts = g.edges(), g.vertices()
+        for vertices in (verts, ()):
+            want = graph_reference.from_edges(edges, vertices)
+            assert arrays(Graph.from_edges(edges, vertices)) == arrays(want)
+
+
+def test_generators_match_the_label_level_reference():
+    arrays = graph_reference.arrays
+    for m in range(3, 40):
+        for n in range(3, 43 - m):  # every pair with m + n - 1 <= 41
+            assert arrays(gen_bowtie(m, n)) == arrays(graph_reference.gen_bowtie(m, n)), (m, n)
+    for dim in range(3, 7):
+        assert arrays(gen_butterfly(dim)) == arrays(graph_reference.gen_butterfly(dim)), dim
+
+
+def test_otis_links_the_ints_its_index_holds():
+    # one int object per vertex, not a fresh one per edge end
+    g = otis(gen_bowtie(31, 30))
+    held = {id(k) for k in g.index.values()}
+    assert all(id(a) in held and id(b) in held for a, b in g.ends)
+
+
+GRAPH_ARRAYS = {"labels", "index", "ends", "flipped", "edge_id", "incident"}
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "update", "setdefault", "popitem", "sort", "reverse"}
+
+
+def _names_graph_array(node) -> bool:
+    """Whether ``node`` is ``x.<array>`` or an item of one, ``x.<array>[k]...``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in GRAPH_ARRAYS
+
+
+def _writes_graph_array(fn) -> bool:
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+            targets = [node.func.value]
+        else:
+            continue
+        for target in targets:
+            if any(map(_names_graph_array, target.elts if isinstance(target, ast.Tuple) else [target])):
+                return True
+    return False
+
+
+def test_only_add_vertex_and_link_write_graph_arrays():
+    # one way in for vertices and one for edges; __init__ only creates the
+    # empty arrays
+    writers = []
+    for path in sorted(Path(otisham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            methods = top.body if isinstance(top, ast.ClassDef) else [top]
+            for fn in methods:
+                if isinstance(fn, ast.FunctionDef) and _writes_graph_array(fn):
+                    owner = f"{top.name}." if top is not fn else ""
+                    writers.append(f"{path.stem}.{owner}{fn.name}")
+    assert writers == ["graph.Graph.__init__", "graph.Graph.add_vertex", "graph.Graph.link"]
 
 
 def test_vertex_labels_are_rejected_exactly_at_whitespace():

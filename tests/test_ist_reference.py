@@ -34,12 +34,12 @@ def cycle_graph(rng: random.Random, k: int) -> tuple[Graph, list[str]]:
     for v in rng.sample(order, k):
         g.add_vertex(v)
     for j, u in enumerate(order):
-        g.add_edge(u, order[(j + 1) % k])
+        g.link(g.add_vertex(u), g.add_vertex(order[(j + 1) % k]))
     p = rng.uniform(0.0, 0.5)
     for a in range(k):
         for b in range(a + 2, k - (a == 0)):
             if rng.random() < p:
-                g.add_edge(order[a], order[b])
+                g.link(g.add_vertex(order[a]), g.add_vertex(order[b]))
     return g, order
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from otisham.graph import Graph, GraphError, is_connected
 from otisham.topology import (
-    BowtieParams,
+    bowtie_pair,
     gen_bowtie,
     gen_butterfly,
     gen_complete,
@@ -36,10 +36,25 @@ def test_bowtie_rejects_short_cycles():
 
 
 def test_bowtie_normalization():
-    assert (BowtieParams.normalized(5, 3).m, BowtieParams.normalized(5, 3).n) == (3, 5)
-    assert (BowtieParams.normalized(4, 5).m, BowtieParams.normalized(4, 5).n) == (5, 4)
-    assert (BowtieParams.normalized(6, 4).m, BowtieParams.normalized(6, 4).n) == (4, 6)
-    assert (BowtieParams.normalized(5, 7).m, BowtieParams.normalized(5, 7).n) == (5, 7)
+    assert bowtie_pair(5, 3) == (3, 5)
+    assert bowtie_pair(4, 5) == (5, 4)
+    assert bowtie_pair(6, 4) == (4, 6)
+    assert bowtie_pair(5, 7) == (5, 7)
+    for m in range(1, 41):
+        for n in range(1, 41):
+            if min(m, n) < 3:
+                with pytest.raises(GraphError) as info:
+                    bowtie_pair(m, n)
+                assert str(info.value) == f"cycle lengths must be >= 3, got ({m}, {n})"
+                continue
+            if m % 2 == n % 2:
+                want = (min(m, n), max(m, n))  # same parity: shorter cycle left
+            elif m % 2 == 1:
+                want = (m, n)  # odd side left
+            else:
+                want = (n, m)
+            got = bowtie_pair(m, n)
+            assert type(got) is tuple and got == want, (m, n)
 
 
 def test_bowtie_is_two_cycles_at_cut_vertex():
@@ -154,13 +169,13 @@ def test_fixture_generators():
 
 
 @pytest.mark.parametrize("make,args", [
-    (BowtieParams, (2, 5)),
+    (bowtie_pair, (2, 5)),
     (gen_bowtie, (5, 1)),
     (gen_butterfly, (2,)),
     (gen_cycle, (2,)),
     (gen_path, (0,)),
     (gen_complete, (2,)),
-], ids=["BowtieParams", "gen_bowtie", "gen_butterfly", "gen_cycle", "gen_path", "gen_complete"])
+], ids=["bowtie_pair", "gen_bowtie", "gen_butterfly", "gen_cycle", "gen_path", "gen_complete"])
 def test_size_errors_are_graph_errors(make, args):
     # the CLI reports GraphError as bad input; ValueError callers see no change
     with pytest.raises(GraphError) as info:

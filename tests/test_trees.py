@@ -84,7 +84,7 @@ def test_cycle_tree_pairs_always_independent(k, seed):
     for v in order:
         g.add_vertex(v)
     for j, u in enumerate(order):
-        g.add_edge(u, order[(j + 1) % k])
+        g.link(g.add_vertex(u), g.add_vertex(order[(j + 1) % k]))
     root = rng.choice(order)
     pair = build_ists(tuple(order), root)
     report = independence_report(pair, g)
@@ -112,8 +112,8 @@ def test_tree_pair_survives_base_chords():
     pair = build_ists(result.cycle, "2:5")
     assert independence_report(pair, result.graph).vertex_disjoint
     base = gen_bowtie(3, 7)
-    base.add_edge("4", "6")  # chord inside the right cycle; 5 keeps degree 2
-    base.add_edge("6", "8")  # 7 keeps degree 2
+    base.link(base.add_vertex("4"), base.add_vertex("6"))  # chord inside the right cycle; 5 keeps degree 2
+    base.link(base.add_vertex("6"), base.add_vertex("8"))  # 7 keeps degree 2
     augmented = otis(base)
     report = independence_report(pair, augmented)
     assert report.vertex_disjoint and report.edge_disjoint
