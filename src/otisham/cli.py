@@ -303,7 +303,7 @@ def reproduce_report() -> tuple[dict, list[str]]:
     """Recompute the headline counts; returns (report, mismatches)."""
     g44 = otis(gen_bowtie(4, 4))
     g46 = otis(gen_bowtie(4, 6))
-    census = Counter(g44.degree(v) for v in g44.vertices())
+    census = Counter(map(len, g44.incident))
     cert = counting_refutation(g44)
     verdict_44 = decide(g44)
     verdict_46 = decide(g46)
@@ -315,7 +315,7 @@ def reproduce_report() -> tuple[dict, list[str]]:
         "independent_bound": cert.independent_bound if cert else None,
         "total_bound": cert.total_bound if cert else None,
         "census": {str(k): v for k, v in sorted(census.items())},
-        "degree5": sorted(v for v in g44.vertices() if g44.degree(v) == 5),
+        "degree5": sorted(v for v, inc in zip(g44.labels, g44.incident) if len(inc) == 5),
         "verdict_4_4": verdict_44.status,
         "verdict_4_6": verdict_46.status,
     }
@@ -356,7 +356,7 @@ def _sweep_one(m: int, n: int, budget: SearchBudget) -> dict:
         entry["detail"] = result.detail
         return entry
     graph = result.graph
-    roots = [graph.vertices()[0], otis_label(str(m), str(m)), graph.vertices()[-1]]
+    roots = [graph.labels[0], otis_label(str(m), str(m)), graph.labels[-1]]
     independent = True
     for root in roots:
         pair = build_ists(result.cycle, root)

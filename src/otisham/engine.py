@@ -464,35 +464,33 @@ def counting_refutation(graph: Graph) -> CountingCertificate | None:
     each when pairwise independent.  If the pinned total exceeds the spare
     budget, no Hamiltonian cycle exists.  Returns None when inconclusive
     (including when the candidate set exceeds ``MIS_CANDIDATE_CAP``).
+
+    The family is taken greedily in label order (labels sort as strings),
+    in one pass over vertex indices that marks each member's neighbours;
+    outside the capped independent-set search the cost is O(V log V + E).
     """
     budget = graph.n_edges - graph.n_vertices
     if budget < 0:
         return None
-    high: list[str] = []
-    for v in sorted(graph.vertices()):
-        if graph.degree(v) >= 4 and all(not graph.has_edge(v, w) for w in high):
+    labels, ends = graph.labels, graph.ends
+    nbrs = [[b if a == k else a for a, b in map(ends.__getitem__, inc)] for k, inc in enumerate(graph.incident)]
+    deg = list(map(len, nbrs))
+    high: list[int] = []
+    marked = bytearray(len(labels))
+    for v in sorted(range(len(labels)), key=labels.__getitem__):
+        if deg[v] >= 4 and not marked[v]:
             high.append(v)
-    family_bound = sum(graph.degree(v) - 2 for v in high)
-    high_or_excluded = {v for v in graph.vertices() if graph.degree(v) >= 4}
-    candidates = [
-        v
-        for v in graph.vertices()
-        if graph.degree(v) == 3
-        and not any(w in high_or_excluded for w in graph.neighbors(v))
-    ]
+            for w in nbrs[v]:
+                marked[w] = 1
+    family_bound = sum(deg[v] - 2 for v in high)
+    candidates = [v for v, ws in enumerate(nbrs) if len(ws) == 3 and all(deg[w] < 4 for w in ws)]
     if len(candidates) > MIS_CANDIDATE_CAP:
         return None
     cand_set = set(candidates)
-    adj = {v: {w for w in graph.neighbors(v) if w in cand_set} for v in candidates}
+    adj = {labels[v]: {labels[w] for w in nbrs[v] if w in cand_set} for v in candidates}
     mis = sorted(_max_independent_set(adj))
     total = family_bound + len(mis)
     if total <= budget:
         return None
-    return CountingCertificate(
-        edge_budget=budget,
-        high_degree_family=tuple(high),
-        family_bound=family_bound,
-        independent_set=tuple(mis),
-        independent_bound=len(mis),
-        total_bound=total,
-    )
+    family = tuple(labels[v] for v in high)
+    return CountingCertificate(budget, family, family_bound, tuple(mis), len(mis), total)

@@ -143,15 +143,16 @@ def cycle_violation(graph: Graph, order) -> str | None:
 
     The first failing check names it: length, then a repeated vertex, then
     an unknown one, then too short, then the first step in order, with the
-    closing step last.  A ``bytearray`` over vertex indices marks each
-    vertex seen; only unknown labels go in a set."""
+    closing step last.  Each label is looked up once; a ``bytearray`` over
+    the indices marks each vertex seen (only unknown labels go in a set),
+    and each step's index pair is looked up in ``edge_id``."""
     order = tuple(order)
     n = graph.n_vertices
     if len(order) != n:
         return "length-mismatch"
-    index, seen, unknown = graph.index, bytearray(n), set()
-    for v in order:
-        k = index.get(v)
+    seen, unknown = bytearray(n), set()
+    ks = list(map(graph.index.get, order))
+    for v, k in zip(order, ks):
         if k is None:
             if v in unknown:
                 return "duplicate-vertex"
@@ -164,10 +165,10 @@ def cycle_violation(graph: Graph, order) -> str | None:
         return "unknown-vertex"
     if n < 3:
         return "too-short"
-    for k in range(n):
-        u, v = order[k], order[k + 1 - n]  # the closing step comes last
-        if not graph.has_edge(u, v):
-            return f"non-adjacent-step:{u}-{v}"
+    edge_id = graph.edge_id
+    for a, b in zip(ks, ks[1:] + ks[:1]):  # the closing step comes last
+        if ((a, b) if a < b else (b, a)) not in edge_id:
+            return f"non-adjacent-step:{graph.labels[a]}-{graph.labels[b]}"
     return None
 
 

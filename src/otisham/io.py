@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 
-from .graph import Graph, GraphError, graph_hash, is_hamiltonian_cycle
+from .graph import Graph, GraphError, is_hamiltonian_cycle
 
 
 def write_edge_list(graph: Graph) -> str:
@@ -92,10 +92,9 @@ def to_dot(graph: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_cycle_certificate(graph: Graph, cycle, digest: str | None = None) -> str:
-    """``digest``, when given, is ``graph_hash(graph)`` worked out already."""
+def write_cycle_certificate(graph: Graph, cycle, digest: str) -> str:
+    """``digest`` is ``graph_hash(graph)``, which the caller has worked out."""
     order = list(cycle)
-    digest = graph_hash(graph) if digest is None else digest
     payload = {"graph_hash": digest, "order": order, "verified": is_hamiltonian_cycle(graph, order)}
     return json.dumps(payload, indent=None, separators=(",", ":"), sort_keys=True)
 

@@ -186,7 +186,7 @@ def test_edge_list_rejects_malformed():
 
 def test_cycle_certificate_round_trip():
     c5 = gen_cycle(5)
-    text = write_cycle_certificate(c5, ["1", "2", "3", "4", "5"])
+    text = write_cycle_certificate(c5, ["1", "2", "3", "4", "5"], graph_hash(c5))
     cert = read_cycle_certificate(text)
     assert cert["verified"] is True
     assert cert["graph_hash"] == graph_hash(c5)
@@ -197,7 +197,8 @@ def test_cycle_certificate_round_trip():
     [("order", "abc"), ("order", ["1", 2]), ("graph_hash", 5), ("verified", "yes"), ("verified", 1)],
 )
 def test_cycle_certificate_fields_are_type_checked(field, value):
-    cert = json.loads(write_cycle_certificate(gen_cycle(3), ["1", "2", "3"]))
+    c3 = gen_cycle(3)
+    cert = json.loads(write_cycle_certificate(c3, ["1", "2", "3"], graph_hash(c3)))
     cert[field] = value
     with pytest.raises(GraphError):
         read_cycle_certificate(json.dumps(cert))
@@ -316,6 +317,20 @@ def test_only_add_vertex_and_link_write_graph_arrays():
                     writers.append(f"{path.stem}.{owner}{fn.name}")
     assert writers == ["graph.Graph.__init__", "graph.Graph.add_vertex", "graph.Graph.link"]
 
+
+
+def test_package_reads_no_label_neighbourhoods():
+    # neighbors and degree stay for the test references; the package reads
+    # the index arrays
+    calls = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(Path(otisham.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("neighbors", "degree")
+    ]
+    assert calls == []
 
 def test_vertex_labels_are_rejected_exactly_at_whitespace():
     with pytest.raises(GraphError):
