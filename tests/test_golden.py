@@ -43,6 +43,8 @@ GEN_ARGS = {
     "P_4": ["path", "--k", "4"],
 }
 IST_PAIRS = [(7, 7), (3, 8), (5, 4), (5, 7)]
+DOT_PAIRS = [(7, 7), (7, 9), (7, 8), (3, 14), (3, 15), (5, 7), (4, 4)]  # each class, even-even included
+CERTIFICATE_PAIRS = [(7, 7), (31, 30)]  # ham-build --out
 WITNESS_BASES = {
     "BF(3,3)": lambda: gen_bowtie(3, 3),
     "BF(3,4)": lambda: gen_bowtie(3, 4),
@@ -113,6 +115,8 @@ def graph_file_outputs(workdir: Path) -> dict[str, str]:
         out[f"otis {name} --dot"] = run_cli("otis", "--in", base, "--dot")
         out[f"export OTIS({name})"] = run_cli("export", "--in", net)
     out["ham-build (3,4) --dot"] = run_cli("ham-build", "--m", "3", "--n", "4", "--dot")
+    for m, n in DOT_PAIRS:
+        out[f"ham-build ({m},{n}) --dot"] = run_cli("ham-build", "--m", m, "--n", n, "--dot")
     return out
 
 
@@ -147,6 +151,10 @@ def certificate_outputs(workdir: Path) -> dict[str, str]:
             out[f"ist ({m},{n}) {root} no graph"] = run_cli("ist", "--cycle", cert, "--root", root, "--json")
         out[f"verify ({m},{n})"] = run_cli("verify", "--in", net, "--cycle", cert, "--json")
         out[f"verify ({m},{n}) base"] = run_cli("verify", "--in", base, "--cycle", cert, "--json")
+    for m, n in CERTIFICATE_PAIRS:
+        cert = workdir / f"built{m}_{n}.json"
+        run_cli("ham-build", "--m", m, "--n", n, "--out", cert)
+        out[f"ham-build ({m},{n}) --out certificate"] = cert.read_text()
     return out
 
 
