@@ -1,11 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 success / verdict obtained, 2 inconclusive (budget),
-3 verification mismatch, 4 usage error: a bad option or size (such as
-``sweep --max-base`` below 5), a ``gen`` option missing or foreign to its
-family, an unreadable or malformed input file, or a label or pair the
-graph does not have.  Handlers raise ``GraphError`` for these and ``main``
-alone prints it as one ``error:`` line.  ``--json`` output is
+3 verification mismatch or a key-edge table fault, 4 usage error: a bad
+option or size (such as ``sweep --max-base`` below 5), a ``gen`` option
+missing or foreign to its family, an unreadable or malformed input file,
+or a label or pair the graph does not have.  Handlers raise ``GraphError``
+for usage errors and ``KeyEdgeError`` for table faults, and ``main`` alone
+prints each as one ``error:`` line.  ``--json`` output is
 byte-identical across runs for identical inputs, budgets and seed;
 timings are printed only in human-readable mode.
 """
@@ -22,6 +23,7 @@ from collections import Counter
 from . import __version__
 from .constructive import (
     FailureReport,
+    KeyEdgeError,
     ParamClass,
     UNSUPPORTED_CLASS,
     build_ham_cycle,
@@ -188,20 +190,20 @@ def cmd_ham_build(args) -> int:
     if args.emit_key_edges and (args.dot or args.out):
         raise GraphError("--emit-key-edges takes neither --dot nor --out")
     # even-even pairs have no table; they get the same unsupported-class
-    # report below that a build gives
+    # report below that a build gives.  --dot and --emit-key-edges need no
+    # cycle, so they run no search and take no budget.
     cls = classify(args.m, args.n)
+    if args.dot and cls is not ParamClass.EVEN_EVEN:
+        _write_graph(otis(gen_bowtie(args.m, args.n)), args.out, True)
+        return EXIT_OK
     if args.emit_key_edges and cls is not ParamClass.EVEN_EVEN:
-        try:
-            edges = key_edges(args.m, args.n)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MISMATCH
         payload = {
             "m": args.m,
             "n": args.n,
             "class": cls.value,
             "key_edges": [
-                {"cluster": ke.cluster, "edge": [ke.a, ke.b], "tag": ke.tag} for ke in edges
+                {"cluster": ke.cluster, "edge": [ke.a, ke.b], "tag": ke.tag}
+                for ke in key_edges(args.m, args.n)
             ],
         }
         _emit(args, payload)
@@ -217,13 +219,10 @@ def cmd_ham_build(args) -> int:
         }
         _emit(args, payload)
         return {UNSUPPORTED_CLASS: EXIT_OK, INCONCLUSIVE: EXIT_INCONCLUSIVE}.get(result.kind, EXIT_MISMATCH)
-    if args.dot:
-        _write_graph(result.graph, args.out, True)
-        return EXIT_OK
     digest = graph_hash(result.graph)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(write_cycle_certificate(result.graph, result.cycle, digest) + "\n")
+            fh.write(write_cycle_certificate(result.cycle, digest) + "\n")
     payload = {
         "m": args.m,
         "n": args.n,
@@ -258,6 +257,8 @@ def cmd_ist(args) -> int:
         "edge_disjoint": report.edge_disjoint,
     }
     _emit(args, payload)
+    if not report.vertex_disjoint:
+        print(f"error: {report.first_violation}", file=sys.stderr)
     return EXIT_OK if report.vertex_disjoint else EXIT_MISMATCH
 
 
@@ -473,10 +474,6 @@ def main(argv=None) -> int:
     args.t0 = time.perf_counter()
     try:
         return args.fn(args)
-    except (GraphError, OSError) as exc:
+    except (GraphError, OSError, KeyEdgeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        return EXIT_MISMATCH if isinstance(exc, KeyEdgeError) else EXIT_USAGE

@@ -10,7 +10,8 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 from otisham.cli import sweep_pairs
-from otisham.constructive import BuildResult, build_ham_cycle, key_edges
+from otisham import constructive
+from otisham.constructive import BuildResult, build_ham_cycle, classify, key_edges
 from otisham.engine import DELETED, FORCED, UNDECIDED, Contradiction, EdgeAssignment, propagate
 from otisham.graph import Graph, _eccentricity
 from otisham.topology import (
@@ -72,6 +73,33 @@ def sweep_builds(sweep_build_seconds) -> dict[tuple[int, int], BuildResult]:
         assert isinstance(result, BuildResult), f"({m},{n}): {result}"
         builds[(m, n)] = result
     return builds
+
+
+# Key-edge tables that drive ``build_ham_cycle`` down each of its failure
+# paths: name -> (m, n, the rows written on a ``_Rows``, what the build
+# reports).  A faulty table raises ``KeyEdgeError`` with the message given;
+# a contradicting one gives a contradiction with the detail given.
+FAULTY_TABLES = {
+    "cluster out of range": (
+        3, 3, lambda r: r.add(r.i + 1, 1, 2, "probe"), "cluster 6: probe: cluster 6 out of range"),
+    "not a base edge": (
+        3, 4, lambda r: r.add(1, 1, 4, "probe"), "cluster 1: probe: (1,4) is not a base edge"),
+}
+CONTRADICTING_TABLES = {
+    "seeding": (
+        3, 3, lambda r: r.add(1, 1, 2, "probe"),
+        "seeding cluster 1: probe already contradicts: vertex-underfilled at 1:1"),
+    "fixpoint underfill": (3, 3, lambda r: r.add(1, 4, 5, "probe"), "vertex-underfilled at 1:5"),
+    "fixpoint subcycle": (3, 3, lambda r: r.add(3, 1, 2, "probe"), "short-subcycle of length 9 through 3:2"),
+    "residual search": (
+        5, 7, lambda r: (r.add(5, 1, 2, "probe"), r.add(5, 3, 4, "probe")),
+        "no completion of the table fixpoint: non-hamiltonian"),
+}
+
+
+def use_table(monkeypatch, m: int, n: int, rows) -> None:
+    """Give the class of (m, n) the table ``rows`` for one test."""
+    monkeypatch.setitem(constructive._TABLES, classify(m, n), rows)
 
 
 def peak_bytes(fn):

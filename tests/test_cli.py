@@ -8,10 +8,13 @@ from pathlib import Path
 import pytest
 
 from otisham import cli
+from otisham import constructive
 from otisham import io as otisham_io
 from otisham.graph import graph_hash
+from otisham.io import to_dot
+from otisham.topology import gen_bowtie, otis
 
-from conftest import peak_bytes
+from conftest import CONTRADICTING_TABLES, FAULTY_TABLES, peak_bytes, use_table
 
 CLI = [sys.executable, "-m", "otisham"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -438,8 +441,10 @@ def test_ham_build_out_hashes_the_graph_once(tmp_path, capsys, monkeypatch):
         return graph_hash(graph)
 
     monkeypatch.setattr(cli, "graph_hash", counting_hash)
-    # the certificate writer takes the digest; it cannot hash a graph itself
+    # the certificate writer takes the digest and a cycle the build verified;
+    # it can neither hash a graph nor check the cycle again
     assert not hasattr(otisham_io, "graph_hash")
+    assert not hasattr(otisham_io, "is_hamiltonian_cycle")
     cert = tmp_path / "c.json"
     rc, out, err = call_main(capsys, ["ham-build", "--m", "7", "--n", "7", "--out", str(cert), "--json"])
     assert (rc, err, calls) == (0, "", [169])
@@ -461,3 +466,85 @@ def test_only_main_reports_a_usage_error():
         or isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value == 4
     ]
     assert sorted(users) == ["error", "main"]
+
+
+@pytest.mark.parametrize("case", sorted(CONTRADICTING_TABLES))
+def test_contradicting_table_exits_3(case, capsys, monkeypatch):
+    m, n, rows, detail = CONTRADICTING_TABLES[case]
+    use_table(monkeypatch, m, n, rows)
+    rc, out, err = call_main(capsys, ["ham-build", "--m", str(m), "--n", str(n), "--json"])
+    assert (rc, err) == (3, "")
+    payload = json.loads(out)
+    assert (payload["failure"], payload["detail"]) == ("contradiction", detail)
+
+
+@pytest.mark.parametrize("command", ["ham-build", "emit-key-edges", "sweep"])
+@pytest.mark.parametrize("case", sorted(FAULTY_TABLES))
+def test_table_fault_is_one_error_line(case, command, capsys, monkeypatch):
+    m, n, rows, message = FAULTY_TABLES[case]
+    use_table(monkeypatch, m, n, rows)
+    argv = {
+        "ham-build": ["ham-build", "--m", str(m), "--n", str(n)],
+        "emit-key-edges": ["ham-build", "--m", str(m), "--n", str(n), "--emit-key-edges"],
+        # the faulty pair is the last one the sweep builds
+        "sweep": ["sweep", "--max-base", str(m + n - 1)],
+    }[command]
+    rc, out, err = call_main(capsys, argv + ["--json"])
+    assert (rc, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_only_main_catches_a_table_fault():
+    # no command handler catches anything: main alone turns a table fault
+    # (KeyEdgeError, a ValueError) into exit 3 and one error line
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    assert [fn.name for fn in functions if fn.name.startswith("cmd_")]
+    assert not [
+        fn.name for fn in functions
+        if fn.name.startswith("cmd_") and any(isinstance(node, ast.Try) for node in ast.walk(fn))
+    ]
+    catchers = [
+        fn.name
+        for fn in functions
+        for handler in ast.walk(fn)
+        if isinstance(handler, ast.ExceptHandler)
+        and (handler.type is None or any(
+            isinstance(node, ast.Name) and node.id in ("KeyEdgeError", "ValueError", "Exception")
+            for node in ast.walk(handler.type)))
+    ]
+    assert catchers == ["main"]
+
+
+@pytest.mark.parametrize("m,n", [(7, 7), (7, 9), (7, 8), (3, 14), (3, 15), (5, 7)])
+def test_ham_build_dot_runs_no_search(m, n, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ham-build --dot searched")
+
+    for owner in (cli, constructive):
+        monkeypatch.setattr(owner, "build_ham_cycle", refuse)
+        monkeypatch.setattr(owner, "decide", refuse)
+    dot = to_dot(otis(gen_bowtie(m, n)))
+    argv = ["ham-build", "--m", str(m), "--n", str(n), "--dot"]
+    assert call_main(capsys, argv) == (0, dot, "")
+    # --json does not apply to a drawing, and --dot takes no search budget
+    assert call_main(capsys, argv + ["--json", "--budget-nodes", "1"]) == (0, dot, "")
+    out = tmp_path / "g.dot"
+    assert call_main(capsys, argv + ["--out", str(out)]) == (0, "", "")
+    assert out.read_text() == dot
+
+
+def test_ist_names_the_first_violation(tmp_path, capsys):
+    base, net, cert = tmp_path / "b.el", tmp_path / "o.el", tmp_path / "c.json"
+    assert call_main(capsys, ["gen", "bowtie", "--m", "7", "--n", "7", "--out", str(base)])[0] == 0
+    assert call_main(capsys, ["otis", "--in", str(base), "--out", str(net)])[0] == 0
+    assert call_main(capsys, ["ham-build", "--m", "7", "--n", "7", "--out", str(cert)])[0] == 0
+    payload = json.loads(cert.read_text())
+    order = payload["order"]
+    order[1], order[2] = order[2], order[1]
+    cert.write_text(json.dumps(payload))
+    argv = ["ist", "--cycle", str(cert), "--root", order[0], "--in", str(net), "--json"]
+    rc, out, err = call_main(capsys, argv)
+    assert rc == 3
+    assert json.loads(out)["independent"] is False
+    # tree 1 walks against the cycle: order[2] now hangs from order[3]
+    assert err == f"error: tree edge {order[2]}-{order[3]} not in graph\n"

@@ -17,7 +17,7 @@ from otisham.engine import decide
 from otisham.graph import is_hamiltonian_cycle
 from otisham.topology import bowtie_pair, gen_bowtie, otis
 
-from conftest import edge_set, sweep_parameter_pairs
+from conftest import CONTRADICTING_TABLES, FAULTY_TABLES, edge_set, sweep_parameter_pairs, use_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -170,6 +170,24 @@ def test_every_built_cycle_is_checked_exactly_once(m, n, searches, monkeypatch):
         monkeypatch.setattr(module, "is_hamiltonian_cycle", lambda graph, order: False)
     with pytest.raises(AssertionError):
         build_ham_cycle(m, n)
+
+
+@pytest.mark.parametrize("case", sorted(FAULTY_TABLES))
+def test_faulty_table_raises_key_edge_error(case, monkeypatch):
+    m, n, rows, message = FAULTY_TABLES[case]
+    use_table(monkeypatch, m, n, rows)
+    with pytest.raises(KeyEdgeError) as exc:
+        build_ham_cycle(m, n)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("case", sorted(CONTRADICTING_TABLES))
+def test_contradicting_table_reports_a_contradiction(case, monkeypatch):
+    # seeding, the fixpoint (underfill and subcycle) and the residual search
+    # each stop the build with their own detail
+    m, n, rows, detail = CONTRADICTING_TABLES[case]
+    use_table(monkeypatch, m, n, rows)
+    assert build_ham_cycle(m, n) == FailureReport("contradiction", classify(m, n), detail)
 
 
 def test_construction_cost_is_deterministic():

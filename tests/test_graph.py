@@ -186,7 +186,7 @@ def test_edge_list_rejects_malformed():
 
 def test_cycle_certificate_round_trip():
     c5 = gen_cycle(5)
-    text = write_cycle_certificate(c5, ["1", "2", "3", "4", "5"], graph_hash(c5))
+    text = write_cycle_certificate(["1", "2", "3", "4", "5"], graph_hash(c5))
     cert = read_cycle_certificate(text)
     assert cert["verified"] is True
     assert cert["graph_hash"] == graph_hash(c5)
@@ -198,7 +198,7 @@ def test_cycle_certificate_round_trip():
 )
 def test_cycle_certificate_fields_are_type_checked(field, value):
     c3 = gen_cycle(3)
-    cert = json.loads(write_cycle_certificate(c3, ["1", "2", "3"], graph_hash(c3)))
+    cert = json.loads(write_cycle_certificate(["1", "2", "3"], graph_hash(c3)))
     cert[field] = value
     with pytest.raises(GraphError):
         read_cycle_certificate(json.dumps(cert))
