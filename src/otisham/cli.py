@@ -49,6 +49,7 @@ from .topology import (
     gen_cycle,
     gen_path,
     otis,
+    otis_bowtie_hash,
     otis_label,
 )
 from .trees import build_ists, independence_report
@@ -100,6 +101,12 @@ def _emit(args, payload: dict) -> None:
         for key, value in payload.items():
             print(f"{key}: {value}")
         print(f"wall_ms: {(time.perf_counter() - args.t0) * 1e3:.1f}")
+
+
+def _cycle_graph(order) -> Graph:
+    """The cycle ``order`` as a graph: every edge of the trees cut from it,
+    which is all that ``independence_report`` looks up."""
+    return Graph.from_edges(zip(order, [*order[1:], order[0]]), vertices=order)
 
 
 def _write_graph(graph: Graph, out: str | None, dot: bool) -> None:
@@ -219,7 +226,7 @@ def cmd_ham_build(args) -> int:
         }
         _emit(args, payload)
         return {UNSUPPORTED_CLASS: EXIT_OK, INCONCLUSIVE: EXIT_INCONCLUSIVE}.get(result.kind, EXIT_MISMATCH)
-    digest = graph_hash(result.graph)
+    digest = otis_bowtie_hash(args.m, args.n)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(write_cycle_certificate(result.cycle, digest) + "\n")
@@ -246,8 +253,7 @@ def cmd_ist(args) -> int:
             return EXIT_MISMATCH
     pair = build_ists(cert["order"], args.root)
     if graph is None:
-        order = cert["order"]
-        graph = Graph.from_edges(zip(order, order[1:] + order[:1]), vertices=order)
+        graph = _cycle_graph(cert["order"])
     report = independence_report(pair, graph)
     payload = {
         "root": pair.root,
@@ -356,8 +362,9 @@ def _sweep_one(m: int, n: int, budget: SearchBudget) -> dict:
         entry["status"] = "unsupported" if result.kind == UNSUPPORTED_CLASS else "failed"
         entry["detail"] = result.detail
         return entry
-    graph = result.graph
-    roots = [graph.labels[0], otis_label(str(m), str(m)), graph.labels[-1]]
+    # the cycle passed the build's check, so it holds every tree edge
+    graph = _cycle_graph(result.cycle)
+    roots = [otis_label(str(v), str(v)) for v in (1, m, m + n - 1)]
     independent = True
     for root in roots:
         pair = build_ists(result.cycle, root)
@@ -410,11 +417,14 @@ def build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
-    def add_budget(p):
+    def add_budget(p, scope=""):
         p.add_argument("--budget-nodes", type=_positive(int), dest="budget_nodes",
-                       default=SearchBudget().max_nodes)
+                       default=SearchBudget().max_nodes, help="search node budget" + scope)
         p.add_argument("--budget-secs", type=_positive(float), dest="budget_secs",
-                       default=SearchBudget().max_seconds)
+                       default=SearchBudget().max_seconds, help="search time budget in seconds" + scope)
+
+    # the table classes are built by a walk; only the small figures search
+    small_figures = "; it bounds only the decider-built small figures (3,3) and (5,7)"
 
     p = add("gen", cmd_gen, help="generate a base graph")
     p.add_argument("family", choices=["bowtie", "butterfly", "cycle", "path", "complete"])
@@ -442,7 +452,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--emit-key-edges", action="store_true")
-    add_budget(p)
+    add_budget(p, small_figures)
     p.add_argument("--out")
     p.add_argument("--dot", action="store_true")
 
@@ -463,7 +473,7 @@ def build_parser() -> _Parser:
 
     p = add("sweep", cmd_sweep, help="build and verify every supported pair")
     p.add_argument("--max-base", type=int, required=True)
-    add_budget(p)
+    add_budget(p, small_figures)
 
     return parser
 

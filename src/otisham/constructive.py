@@ -1,27 +1,22 @@
-"""Table-driven Hamiltonian cycle construction for bowtie-based swapped
-networks.
+"""Hamiltonian cycles of bowtie-based swapped networks from per-class
+edge tables.
 
-Each supported parameter class carries a per-cluster table of intracluster
-edges that can never lie on a Hamiltonian cycle.  Deleting them and
-propagating leaves many edges undecided (most of them on odd-even pairs,
-nearly half on odd-odd-equal ones), and the seeded complete decider
-settles that residue.  Measured on OTIS(BF(m,n)), edges undecided after
-seeding and propagation, and the decider's residual search:
+Each supported parameter class carries two per-cluster tables of the
+intracluster edges that its cycle leaves unused: the key edges
+(``key_edges``, which ``ham-build --emit-key-edges`` prints) and the
+completion rows, which name the rest.  So every vertex g:u knows its two
+cycle edges: the base edges at u that no row names in cluster g, and its
+transpose edge <g,u> -- <u,g> when only one is left.  ``build_ham_cycle``
+walks them from 1:1 in one integer step per vertex, checks the walk by the
+OTIS(BF) adjacency rule and hashes nothing: it builds no graph and runs no
+search.  Rows that leave a vertex without exactly two cycle edges, or a
+walk that is not one Hamiltonian cycle, are a table fault.
 
-  (m,n)    edges   undecided  search nodes  search depth
-  (31,30)   5,430    4,269       1,272         1,271
-  (81,80)  38,480   35,319      11,322        11,321
-  (21,21)   2,542    1,160         350           345
-  (81,81)  38,962   19,040       6,204         6,180
-
-About a third of the undecided edges are transpose edges, the rest are
-intracluster.  On odd-even pairs the search is a greedy walk: its depth is
-its node count less one, and it never backtracks.  On odd-odd-equal pairs
-it backtracks a little: 4 nodes beyond such a walk at (21,21), 23 at
-(81,81).  The measured cost stays linear in the vertex count.  The forced
-set is the cycle.
-The small figures (3,3) and (5,7) take the same path with an empty table,
-so the decider does all of their work.
+The walk gives the cycle that the table-seeded search in
+``tests/build_reference.py`` finds, byte for byte, since it leaves each
+vertex by its first cycle edge in incidence order as the engine read its
+forced edges.  The small figures (3,3) and (5,7) have empty tables; the
+seeded decider builds them under the search budget.
 
 Label arithmetic inside table rows wraps within the cycle that contains
 the label: positions 1..c wrap on the left cycle (0 meaning c), positions
@@ -34,8 +29,8 @@ import enum
 from typing import NamedTuple
 
 from .engine import INCONCLUSIVE, Contradiction, EdgeAssignment, SearchBudget, decide, propagate
-from .graph import Graph, is_hamiltonian_cycle
-from .topology import bowtie_pair, gen_bowtie, otis, otis_label
+from .graph import is_hamiltonian_cycle
+from .topology import bowtie_links, bowtie_pair, gen_bowtie, otis, otis_bowtie_violation, otis_label, otis_labels
 
 
 class ParamClass(enum.Enum):
@@ -65,8 +60,8 @@ def classify(m: int, n: int) -> ParamClass:
 
 
 class KeyEdge(NamedTuple):
-    """One seeded deletion: intracluster edge (a, b) of cluster ``cluster``,
-    tagged with the table row that produced it."""
+    """One table row: intracluster edge (a, b) of cluster ``cluster``, which
+    the cycle leaves unused, tagged with the row that produced it."""
 
     cluster: int
     a: int
@@ -75,7 +70,8 @@ class KeyEdge(NamedTuple):
 
 
 class KeyEdgeError(ValueError):
-    """A table row produced an edge the graph does not have."""
+    """A table fault: a row names an edge the base graph does not have, or
+    the rows do not leave one Hamiltonian cycle."""
 
 
 class _Rows:
@@ -276,6 +272,80 @@ def _rows_odd_even_general(r: _Rows) -> None:
         r.flank(x)
 
 
+def _complete_odd_odd_equal(r: _Rows) -> None:
+    c, i = r.c, r.i
+
+    def square(a: int, b: int) -> None:
+        """Left edge (a, a+1) and right edge (b, b+1): each goes unused in
+        both clusters of the other."""
+        for g in (a, a + 1):
+            r.add(g, b, b + 1, "square")
+        for g in (b, b + 1):
+            r.add(g, a, a + 1, "square")
+
+    r.cut(c, 1, c + 1)
+    for g in range(c + 3, i - 4, 2):
+        r.add(g, i - 2, i - 1, "upper run end")
+    # left cluster pairs from the first even cluster past the middle, every
+    # fourth, alternately crossed with (i-2, i-1) and (i-1, i)
+    first = (c + 1) // 2 + (c + 1) // 2 % 2
+    pairs = range(first, c - 2, 4)
+    for k, g in enumerate(pairs):
+        square(g, i - 2 if k % 2 == 0 else i - 1)
+    # (c-1, c) crosses a top right edge (i-top, i-top+1), then every second
+    # one from (i-top+3) down; four small pairs break the rule
+    if c == 5:
+        tops = []
+    elif c <= 9:
+        tops = [1]
+    elif c <= 13:
+        tops = [4]
+    else:
+        top = (c - 3) // 2 - (c - 3) // 2 % 2
+        tops = [top, *range(top - 3, 0, -2)]
+        if pairs[-1] == c - 5 and len(pairs) % 2:  # c = 11 or 13 (mod 16)
+            tops.remove(3)
+    for a in tops:
+        square(c - 1, i - a)
+
+
+def _complete_odd_odd_3n(r: _Rows) -> None:
+    c, i = r.c, r.i
+    if i < 9:  # (3,5): the key edges name every unused edge
+        return
+    r.add(c, c + 4, c + 5, "pair")
+    r.run(c + 2, c + 6, i - 2, "right run")
+    for g in range(c + 3, i - 3):
+        r.add(g, i - 1, i, "pair")
+    for g in (c + 4, c + 5):
+        r.add(g, c, c + 1, "pair")
+    for g in range(c + 6, i - 1):
+        r.add(g, c + 1, c + 2, "pair")
+    r.run(i, c + 3, i - 5, "right run")
+
+
+def _complete_odd_odd_general(r: _Rows) -> None:
+    c = r.c
+    r.add(2, c + 1, c + 2, "pair")
+    if c > 5:  # at c = 5 this is cluster 3's flank
+        r.add(c - 2, 1, 2, "pair")
+    r.add(c - 1, c + 1, c + 2, "pair")
+    r.run(c + 1, 2, c - 3, "left run")
+    r.add(c + 2, 1, 2, "pair")
+
+
+def _complete_odd_even_general(r: _Rows) -> None:
+    c = r.c
+    if c > 5:  # at c = 5 this is cluster 3's flank
+        r.add(c - 2, 1, 2, "pair")
+    if c == 7:  # the key table's cut rows skip cluster 4 = c-3 here
+        r.cut(4, 1, c + 1)
+
+
+def _complete_nothing(r: _Rows) -> None:
+    """No rows: the key edges name every edge the cycle leaves unused."""
+
+
 def _rows_small_figure(r: _Rows) -> None:
     """No rows: the decider builds (3,3) and (5,7) from the bare fixpoint."""
 
@@ -289,23 +359,34 @@ _TABLES = {
     ParamClass.ODD_EVEN_GENERAL: _rows_odd_even_general,
 }
 
+# With the key edges, the completion rows name every intracluster edge the
+# cycle leaves unused.  They are kept apart from ``key_edges``, whose rows
+# ``ham-build --emit-key-edges`` prints.
+_COMPLETIONS = {
+    ParamClass.ODD_ODD_EQUAL: _complete_odd_odd_equal,
+    ParamClass.ODD_ODD_3N: _complete_odd_odd_3n,
+    ParamClass.ODD_EVEN_3: _complete_nothing,
+    ParamClass.ODD_ODD_GENERAL: _complete_odd_odd_general,
+    ParamClass.ODD_EVEN_GENERAL: _complete_odd_even_general,
+}
 
-def key_edges(m: int, n: int) -> list[KeyEdge]:
-    """The table deletions for a supported class, validated against the
-    base graph and deduplicated keeping the first provenance tag."""
+
+def _checked_rows(m: int, n: int, tables) -> list[KeyEdge]:
+    """The rows that the table in ``tables`` writes for the class of (m, n),
+    validated against BF(m, n) and deduplicated keeping the first tag."""
     m, n = bowtie_pair(m, n)
     cls = classify(m, n)
-    if cls not in _TABLES:
+    if cls not in tables:
         raise ValueError(f"no key-edge table for class {cls.value}")
     rows = _Rows(m, n)
-    _TABLES[cls](rows)
-    base = gen_bowtie(m, n)
+    tables[cls](rows)
+    base = {(a + 1, b + 1) for link in bowtie_links(m, n) for a, b in (link, link[::-1])}
     seen: set[tuple[int, int, int]] = set()
     out: list[KeyEdge] = []
     for ke in rows.out:
         if not 1 <= ke.cluster <= rows.i:
             raise KeyEdgeError(f"{ke.tag}: cluster {ke.cluster} out of range")
-        if not base.has_edge(str(ke.a), str(ke.b)):
+        if (ke.a, ke.b) not in base:
             raise KeyEdgeError(f"{ke.tag}: ({ke.a},{ke.b}) is not a base edge")
         key = (ke.cluster, min(ke.a, ke.b), max(ke.a, ke.b))
         if key not in seen:
@@ -314,11 +395,16 @@ def key_edges(m: int, n: int) -> list[KeyEdge]:
     return out
 
 
+def key_edges(m: int, n: int) -> list[KeyEdge]:
+    """The table deletions for a supported class, validated against the
+    base graph and deduplicated keeping the first provenance tag."""
+    return _checked_rows(m, n, _TABLES)
+
+
 class BuildResult(NamedTuple):
     cycle: tuple[str, ...]
     param_class: ParamClass
-    steps: int
-    graph: Graph
+    steps: int  # one per vertex for a table build, the engine's for a small figure
 
 
 class FailureReport(NamedTuple):
@@ -330,23 +416,59 @@ class FailureReport(NamedTuple):
 UNSUPPORTED_CLASS = "unsupported-class"
 
 
-def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
-    """Construct and verify a Hamiltonian cycle of OTIS(bowtie(m, n)).
+def _walk(m: int, n: int, cls: ParamClass) -> list[int]:
+    """The cycle that the key and completion rows leave, as OTIS(BF(m, n))
+    vertex indices (g:u has index (g-1)*N + u-1 over N base vertices).
 
-    Seeds every key edge of the class's table deleted, propagates, and
-    hands any undecided residue to the seeded decider, which verifies the
-    cycle it returns.  Returns a BuildResult or a FailureReport; never an
-    unverified cycle.
-    """
-    m, n = bowtie_pair(m, n)
-    cls = classify(m, n)
-    if cls is ParamClass.EVEN_EVEN:
-        return FailureReport(
-            kind=UNSUPPORTED_CLASS,
-            param_class=cls,
-            detail="no construction exists for even-even pairs; "
-            "(4,4) and (4,6) are proven non-Hamiltonian",
-        )
+    A vertex keeps the base edges that no row names in its cluster, and its
+    transpose edge when only one is left; that must make two cycle edges,
+    one of them the edge the walk came in by.  The walk starts at 1:1,
+    leaves by the first of its two (base edges in ``gen_bowtie``'s link
+    order, then the transpose edge) and never steps back, so it reads the
+    cycle as the engine did.  A vertex that breaks the rule is a table
+    fault."""
+    size = m + n - 1
+    per = size + 1  # bowtie edges, so row slots per cluster
+    slot: dict[tuple[int, int], int] = {}
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for e, (a, b) in enumerate(bowtie_links(m, n)):
+        slot[a + 1, b + 1] = slot[b + 1, a + 1] = e
+        incident[a].append((e, b))
+        incident[b].append((e, a))
+    unused = bytearray(size * per)
+    for ke in (*key_edges(m, n), *_checked_rows(m, n, _COMPLETIONS)):
+        unused[(ke.cluster - 1) * per + slot[ke.a, ke.b]] = 1
+
+    def fault(k: int, what: str) -> KeyEdgeError:
+        g, u = divmod(k, size)
+        return KeyEdgeError(f"{cls.value} tables: {g + 1}:{u + 1} {what}")
+
+    order: list[int] = []
+    append = order.append
+    first = prev = -1
+    cur = 0
+    for _ in range(size * size):
+        append(cur)
+        g, u = divmod(cur, size)
+        at, row = cur - u, g * per
+        ends = [at + w for e, w in incident[u] if not unused[row + e]]
+        if len(ends) == 1 and g != u:
+            ends.append(u * size + g)
+        if len(ends) != 2:
+            raise fault(cur, f"keeps {len(ends)} cycle edges")
+        if prev not in ends:
+            if prev >= 0:
+                raise fault(cur, "keeps no edge to the vertex before it")
+            first = ends[1]  # 1:1 is left by ends[0], so the walk closes by ends[1]
+        prev, cur = cur, ends[ends[0] == prev]
+    if cur != 0 or prev != first:
+        raise fault(prev, "does not close the walk at 1:1")
+    return order
+
+
+def _decided_build(m: int, n: int, cls: ParamClass, budget: SearchBudget | None):
+    """A small figure: seed its table, which has no rows, propagate, and
+    hand the residue to the seeded decider, which verifies its cycle."""
     graph = otis(gen_bowtie(m, n))
 
     def contradiction(detail: str) -> FailureReport:
@@ -366,17 +488,38 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
         if not is_hamiltonian_cycle(graph, cycle):
             raise AssertionError("constructed cycle failed verification")
     else:
-        # An edge stays open at the fixpoint only when both of its ends
-        # keep three or more live edges.  The seeded decider settles them,
-        # mostly by a walk that never backtracks (module docstring).  With
-        # the small figures' empty table it does the whole search.
         verdict = decide(graph, seed=asg, budget=budget)
         if verdict.status == INCONCLUSIVE:
             return FailureReport(INCONCLUSIVE, cls, f"search budget exhausted: {verdict.reason}")
         if not verdict.is_hamiltonian:
             return contradiction(f"no completion of the table fixpoint: {verdict.status}")
         cycle = verdict.cycle
-    # a table build's cost is one step per vertex of the cycle; the small
-    # figures report the engine's count
-    steps = asg.steps if cls is ParamClass.SMALL_FIGURE else graph.n_vertices
-    return BuildResult(cycle=cycle, param_class=cls, steps=steps, graph=graph)
+    return BuildResult(cycle=cycle, param_class=cls, steps=asg.steps)
+
+
+def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
+    """Construct and verify a Hamiltonian cycle of OTIS(bowtie(m, n)).
+
+    A table class walks the cycle its key and completion rows leave and
+    checks it by index arithmetic, with no graph and no search; a table
+    fault, the walk's or the check's, raises ``KeyEdgeError``.  The small
+    figures go to the seeded decider under ``budget``.  Returns a
+    BuildResult or a FailureReport; never an unverified cycle.
+    """
+    m, n = bowtie_pair(m, n)
+    cls = classify(m, n)
+    if cls is ParamClass.EVEN_EVEN:
+        return FailureReport(
+            kind=UNSUPPORTED_CLASS,
+            param_class=cls,
+            detail="no construction exists for even-even pairs; "
+            "(4,4) and (4,6) are proven non-Hamiltonian",
+        )
+    if cls is ParamClass.SMALL_FIGURE:
+        return _decided_build(m, n, cls, budget)
+    order = _walk(m, n, cls)
+    reason = otis_bowtie_violation(m, n, order)
+    if reason is not None:
+        raise KeyEdgeError(f"{cls.value} tables: the walk is not a Hamiltonian cycle: {reason}")
+    labels = otis_labels([str(v) for v in range(1, m + n)])
+    return BuildResult(cycle=tuple(map(labels.__getitem__, order)), param_class=cls, steps=len(order))

@@ -128,8 +128,10 @@ def graph_hash(graph: Graph) -> str:
     label, then "e", each edge's lower label, a space and its higher label.
 
     The edges go in one ``update`` each, so no text of them all is built,
-    but the sorted list holds a label pair per edge at once: on OTIS(BF(81,80))
-    it sets the peak memory of ``ham-build``, 1.1 MB above the search's."""
+    but the sorted list holds a label pair per edge at once.  ``ham-build``
+    works the same digest out from (m, n) with no such list
+    (``topology.otis_bowtie_hash``); ``verify``, ``ist`` and ``decide`` hash
+    the graph they read here."""
     lab = graph.labels
     h = hashlib.sha256("".join(["v" + v for v in sorted(lab)]).encode())
     edges = ((lab[a], lab[b]) for a, b in graph.ends)

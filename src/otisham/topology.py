@@ -3,11 +3,14 @@ and the OTIS (swapped network) composition operator.
 
 ``bowtie_pair`` checks and orders every bowtie pair.  OTIS vertex ``"g:u"``
 has cluster address ``g`` and processor address ``u``, both base-graph
-labels; over an N-vertex base it has index g*N + u.
+labels; over an N-vertex base it has index g*N + u.  Over BF(m,n), whose
+label v has index v - 1, ``otis_bowtie_violation`` and ``otis_bowtie_hash``
+check a cycle and hash the network by that arithmetic, with no graph.
 """
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
 
 from .graph import Graph, GraphError
@@ -29,23 +32,27 @@ def bowtie_pair(m: int, n: int) -> tuple[int, int]:
     return (n, m) if n % 2 else (m, n)  # odd side goes left
 
 
+def bowtie_links(m: int, n: int) -> list[tuple[int, int]]:
+    """The edges of BF(m, n) as vertex index pairs, in the order
+    ``gen_bowtie`` links them: round the left cycle 1-2-...-c-1, then round
+    the right cycle c-(c+1)-...-i-c."""
+    m, n = bowtie_pair(m, n)
+    c, i = m, m + n - 1
+    return ([(v, v + 1) for v in range(c - 1)] + [(c - 1, 0)]
+            + [(v, v + 1) for v in range(c - 1, i - 1)] + [(i - 1, c - 1)])
+
+
 def gen_bowtie(m: int, n: int) -> Graph:
     """Two cycles C_m, C_n sharing the single cut vertex c = m.
 
     Vertices 1..i with i = m + n - 1; the left cycle is 1-2-...-c-1 and the
     right cycle c-(c+1)-...-i-c.  Vertex v has index v - 1.
     """
-    m, n = bowtie_pair(m, n)
-    c, i = m, m + n - 1
     g = Graph()
-    for v in range(1, i + 1):
+    for v in range(1, sum(bowtie_pair(m, n))):
         g.add_vertex(str(v))
-    for v in range(c - 1):
-        g.link(v, v + 1)
-    g.link(c - 1, 0)
-    for v in range(c - 1, i - 1):
-        g.link(v, v + 1)
-    g.link(i - 1, c - 1)
+    for a, b in bowtie_links(m, n):
+        g.link(a, b)
     return g
 
 
@@ -77,6 +84,11 @@ def otis_label(cluster: str, processor: str) -> str:
     return f"{cluster}:{processor}"
 
 
+def otis_labels(base: list[str]) -> list[str]:
+    """The label of every OTIS vertex over base labels ``base``, by index."""
+    return [f"{cluster}:{processor}" for cluster in base for processor in base]
+
+
 def otis(base: Graph) -> Graph:
     """Swapped network over ``base``: one cluster copy of the base per base
     vertex, plus the transpose edge <g,u> -- <u,g> for every g != u.
@@ -89,7 +101,7 @@ def otis(base: Graph) -> Graph:
         raise GraphError("OTIS base needs at least 2 vertices")
     g = Graph()
     # link stores these, the ints ``index`` holds, not a fresh int per edge end
-    ids = [g.add_vertex(otis_label(cluster, processor)) for cluster in verts for processor in verts]
+    ids = [g.add_vertex(label) for label in otis_labels(verts)]
     if g.n_vertices != size * size:
         raise GraphError("base labels collide once joined into OTIS labels")
     base_edges = base.oriented_ends()
@@ -120,3 +132,71 @@ def gen_complete(k: int) -> Graph:
         raise GraphError(f"complete graph needs k >= 3, got {k}")
     labels = [str(v) for v in range(1, k + 1)]
     return Graph.from_edges(combinations(labels, 2), vertices=labels)
+
+
+def otis_bowtie_violation(m: int, n: int, order) -> str | None:
+    """``cycle_violation`` of the labels of ``order``, a sequence of vertex
+    indices, on OTIS(BF(m, n)), worked out from (m, n) alone: the same
+    checks in the same order with the same reasons.
+
+    A ``bytearray`` marks each index seen.  A step joins two vertices of
+    one cluster whose processors share a bowtie edge, or is a transpose
+    edge <g,u> -- <u,g>."""
+    size = sum(bowtie_pair(m, n)) - 1
+    total = size * size
+    if len(order) != total:
+        return "length-mismatch"
+    seen, unknown = bytearray(total), set()
+    for k in order:
+        if not 0 <= k < total:
+            if k in unknown:
+                return "duplicate-vertex"
+            unknown.add(k)
+        elif seen[k]:
+            return "duplicate-vertex"
+        else:
+            seen[k] = 1
+    if unknown:
+        return "unknown-vertex"
+    base = {a * size + b for link in bowtie_links(m, n) for a, b in (link, link[::-1])}
+    for a, b in zip(order, [*order[1:], order[0]]):  # the closing step comes last
+        ga, ua = divmod(a, size)
+        gb, ub = divmod(b, size)
+        if not (ua * size + ub in base if ga == gb else ga == ub and gb == ua):
+            return f"non-adjacent-step:{ga + 1}:{ua + 1}-{gb + 1}:{ub + 1}"
+    return None
+
+
+def otis_bowtie_hash(m: int, n: int) -> str:
+    """``graph_hash(otis(gen_bowtie(m, n)))`` from (m, n) alone.
+
+    Label g:u sorts by g's label with ":" appended, then by u's label, since
+    ":" sorts after every digit.  So the vertices go cluster by cluster, and
+    each vertex's edges to higher labels follow it: first its cluster edges,
+    by the other processor's label, then its transpose edge if <u,g> sorts
+    after <g,u>.  Each cluster's text is one template, written once with
+    stand-ins for the two labels that vary, and goes to the hash in one
+    update, so memory stays O(N) for N base vertices."""
+    size = sum(bowtie_pair(m, n)) - 1
+    names = [str(v) for v in range(1, size + 1)]
+    procs = sorted(range(size), key=names.__getitem__)
+    clusters = sorted(range(size), key=lambda g: names[g] + ":")
+    rank = [0] * size
+    for r, g in enumerate(clusters):
+        rank[g] = r
+    up: list[list[str]] = [[] for _ in range(size)]
+    for link in bowtie_links(m, n):
+        a, b = sorted(link, key=names.__getitem__)
+        up[a].append(names[b])
+    # "\0" stands for this cluster's "g:" and "\1" for its label g
+    plain = ["".join(f"e\0{names[u]} \0{w}" for w in sorted(up[u])) for u in range(size)]
+    crossed = [text + f"e\0{names[u]} {names[u]}:\1" for u, text in enumerate(plain)]
+    h = hashlib.sha256()
+    vertices = "".join("v\0" + names[u] for u in procs)
+    for g in clusters:
+        h.update(vertices.replace("\0", names[g] + ":").encode())
+    for g in clusters:
+        r = rank[g]
+        text = "".join([crossed[u] if rank[u] > r else plain[u] for u in procs])
+        h.update(text.replace("\0", names[g] + ":").replace("\1", names[g]).encode())
+    return h.hexdigest()

@@ -1,0 +1,80 @@
+"""The table-seeded search build that ``constructive.build_ham_cycle``
+replaced for the five table classes, kept as the reference it is tested
+against.
+
+It materialises OTIS(BF(m,n)), seeds every key edge of the class's table
+deleted, propagates, and hands the undecided residue to the seeded decider.
+Measured on OTIS(BF(m,n)), edges undecided after seeding and propagation,
+and the decider's residual search:
+
+  (m,n)    edges   undecided  search nodes  search depth
+  (31,30)   5,430    4,269       1,272         1,271
+  (81,80)  38,480   35,319      11,322        11,321
+  (21,21)   2,542    1,160         350           345
+  (81,81)  38,962   19,040       6,204         6,180
+
+About a third of the undecided edges are transpose edges, the rest are
+intracluster.  On odd-even pairs the search is a greedy walk: its depth is
+its node count less one, and it never backtracks.  On odd-odd-equal pairs
+it backtracks a little: 4 nodes beyond such a walk at (21,21), 23 at
+(81,81).  The forced set is the cycle, read from 1:1 by the first forced
+edge in each vertex's incidence order.
+
+``build_ham_cycle(m, n).cycle`` must equal ``reference_build(m, n).cycle``
+on every supported pair; ``steps`` here is the engine's count.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+from otisham.constructive import UNSUPPORTED_CLASS, FailureReport, ParamClass, classify, key_edges
+from otisham.engine import INCONCLUSIVE, Contradiction, EdgeAssignment, SearchBudget, decide, propagate
+from otisham.graph import Graph, is_hamiltonian_cycle
+from otisham.topology import bowtie_pair, gen_bowtie, otis, otis_label
+
+
+class ReferenceBuild(NamedTuple):
+    cycle: tuple[str, ...]
+    param_class: ParamClass
+    steps: int
+    graph: Graph
+
+
+def reference_build(m: int, n: int, *, budget: SearchBudget | None = None):
+    """A verified ReferenceBuild of OTIS(bowtie(m, n)), or a FailureReport."""
+    m, n = bowtie_pair(m, n)
+    cls = classify(m, n)
+    if cls is ParamClass.EVEN_EVEN:
+        return FailureReport(
+            kind=UNSUPPORTED_CLASS,
+            param_class=cls,
+            detail="no construction exists for even-even pairs; "
+            "(4,4) and (4,6) are proven non-Hamiltonian",
+        )
+    graph = otis(gen_bowtie(m, n))
+
+    def contradiction(detail: str) -> FailureReport:
+        return FailureReport("contradiction", cls, detail)
+
+    asg = EdgeAssignment.for_graph(graph)
+    for ke in key_edges(m, n):
+        asg.seed_delete(otis_label(str(ke.cluster), str(ke.a)),
+                        otis_label(str(ke.cluster), str(ke.b)))
+        if asg.conflict is not None:
+            return contradiction(f"seeding {ke.tag} already contradicts: {asg.conflict}")
+    result = propagate(asg)
+    if isinstance(result, Contradiction):
+        return contradiction(str(result))
+    if asg.n_undecided == 0:
+        cycle = asg.extract_cycle()
+        if not is_hamiltonian_cycle(graph, cycle):
+            raise AssertionError("constructed cycle failed verification")
+    else:
+        verdict = decide(graph, seed=asg, budget=budget)
+        if verdict.status == INCONCLUSIVE:
+            return FailureReport(INCONCLUSIVE, cls, f"search budget exhausted: {verdict.reason}")
+        if not verdict.is_hamiltonian:
+            return contradiction(f"no completion of the table fixpoint: {verdict.status}")
+        cycle = verdict.cycle
+    return ReferenceBuild(cycle=cycle, param_class=cls, steps=asg.steps, graph=graph)

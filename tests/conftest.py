@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from otisham.cli import sweep_pairs
 from otisham import constructive
-from otisham.constructive import BuildResult, build_ham_cycle, classify, key_edges
+from otisham.constructive import BuildResult, ParamClass, build_ham_cycle, classify, key_edges
 from otisham.engine import DELETED, FORCED, UNDECIDED, Contradiction, EdgeAssignment, propagate
 from otisham.graph import Graph, _eccentricity
 from otisham.topology import (
@@ -24,6 +24,8 @@ from otisham.topology import (
     otis,
     otis_label,
 )
+
+from build_reference import reference_build
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")
@@ -75,6 +77,17 @@ def sweep_builds(sweep_build_seconds) -> dict[tuple[int, int], BuildResult]:
     return builds
 
 
+@pytest.fixture(scope="session")
+def reference_sweep_steps() -> dict[tuple[int, int], int]:
+    """The engine's step count of the table-seeded reference build of each
+    table-class sweep pair."""
+    return {
+        (m, n): reference_build(m, n).steps
+        for m, n in sweep_parameter_pairs()
+        if classify(m, n) is not ParamClass.SMALL_FIGURE
+    }
+
+
 # Key-edge tables that drive ``build_ham_cycle`` down each of its failure
 # paths: name -> (m, n, the rows written on a ``_Rows``, what the build
 # reports).  A faulty table raises ``KeyEdgeError`` with the message given;
@@ -102,6 +115,15 @@ def use_table(monkeypatch, m: int, n: int, rows) -> None:
     monkeypatch.setitem(constructive._TABLES, classify(m, n), rows)
 
 
+def use_completion(monkeypatch, m: int, n: int, rows) -> None:
+    """Give the class of (m, n) the completion table ``rows`` for one test."""
+    monkeypatch.setitem(constructive._COMPLETIONS, classify(m, n), rows)
+
+
+# one pair of each table class, small enough to build hundreds of times
+TABLE_CLASS_PAIRS = [(7, 7), (3, 9), (7, 9), (3, 8), (7, 8)]
+
+
 def peak_bytes(fn):
     """``fn()``'s result and the peak bytes ``tracemalloc`` traced while it
     ran; tracing stops even if ``fn`` raises."""
@@ -121,7 +143,8 @@ def sweep_roots(m: int, n: int, graph: Graph) -> list[str]:
 
 def table_seed(m: int, n: int) -> tuple[Graph, EdgeAssignment]:
     """OTIS(BF(m,n)) and the fixpoint of its key-edge table deletions, the
-    seed that ``build_ham_cycle`` hands to ``decide``."""
+    seed that the reference build (``build_reference.py``) hands to
+    ``decide``."""
     graph = otis(gen_bowtie(m, n))
     asg = EdgeAssignment.for_graph(graph)
     for ke in key_edges(m, n):

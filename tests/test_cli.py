@@ -10,11 +10,12 @@ import pytest
 from otisham import cli
 from otisham import constructive
 from otisham import io as otisham_io
-from otisham.graph import graph_hash
+from otisham.engine import decide
+from otisham.graph import Graph
 from otisham.io import to_dot
-from otisham.topology import gen_bowtie, otis
+from otisham.topology import gen_bowtie, otis, otis_bowtie_hash
 
-from conftest import CONTRADICTING_TABLES, FAULTY_TABLES, peak_bytes, use_table
+from conftest import CONTRADICTING_TABLES, FAULTY_TABLES, TABLE_CLASS_PAIRS, peak_bytes, use_completion, use_table
 
 CLI = [sys.executable, "-m", "otisham"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -300,11 +301,13 @@ def test_ham_build_peak_memory_per_vertex(capsys):
     # OTIS(BF(81,80)) has 25,600 vertices.  A whole build peaked at about
     # 890 B per vertex while the trail logged a 7-tuple per chain merge, the
     # search stack a tuple per branch, each vertex index a fresh int per use
-    # and the cycle check a set and a list of labels; about 540 B since
+    # and the cycle check a set and a list of labels; about 540 B while the
+    # seeded search built the graph.  The table walk builds none: about
+    # 160 B, the labels, the walk's index list and the printed JSON.
     argv = ["ham-build", "--m", "81", "--n", "80", "--json"]
     rc, peak = peak_bytes(lambda: cli.main(argv))
     assert rc == 0 and json.loads(capsys.readouterr().out)["verified"] is True
-    assert peak / 25_600 < 640, peak / 25_600
+    assert peak / 25_600 < 240, peak / 25_600
 
 
 def test_commands_run_without_docstrings():
@@ -436,18 +439,23 @@ def test_bad_input_message(argv, message, capsys):
 def test_ham_build_out_hashes_the_graph_once(tmp_path, capsys, monkeypatch):
     calls = []
 
-    def counting_hash(graph):
-        calls.append(graph.n_vertices)
-        return graph_hash(graph)
+    def counting_hash(m, n):
+        calls.append((m, n))
+        return otis_bowtie_hash(m, n)
 
-    monkeypatch.setattr(cli, "graph_hash", counting_hash)
+    def refuse(graph):
+        raise AssertionError("ham-build hashed a Graph")
+
+    # ham-build hashes OTIS(BF(m,n)) from (m, n), once, and builds no graph to hash
+    monkeypatch.setattr(cli, "otis_bowtie_hash", counting_hash)
+    monkeypatch.setattr(cli, "graph_hash", refuse)
     # the certificate writer takes the digest and a cycle the build verified;
     # it can neither hash a graph nor check the cycle again
     assert not hasattr(otisham_io, "graph_hash")
     assert not hasattr(otisham_io, "is_hamiltonian_cycle")
     cert = tmp_path / "c.json"
     rc, out, err = call_main(capsys, ["ham-build", "--m", "7", "--n", "7", "--out", str(cert), "--json"])
-    assert (rc, err, calls) == (0, "", [169])
+    assert (rc, err, calls) == (0, "", [(7, 7)])
     payload = json.loads(out)
     want = {"graph_hash": payload["graph_hash"], "order": payload["cycle"], "verified": True}
     assert cert.read_text() == json.dumps(want, separators=(",", ":"), sort_keys=True) + "\n"
@@ -476,6 +484,53 @@ def test_contradicting_table_exits_3(case, capsys, monkeypatch):
     assert (rc, err) == (3, "")
     payload = json.loads(out)
     assert (payload["failure"], payload["detail"]) == ("contradiction", detail)
+
+
+@pytest.mark.parametrize("m,n", TABLE_CLASS_PAIRS)
+def test_table_build_builds_no_graph_and_runs_no_search(m, n, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table build reached the graph or the engine")
+
+    for owner in (cli, constructive):
+        for name in ("otis", "decide", "EdgeAssignment"):
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.setattr(cli, "graph_hash", refuse)
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    rc, out, err = call_main(capsys, ["ham-build", "--m", str(m), "--n", str(n), "--json"])
+    assert (rc, err) == (0, "")
+    assert len(json.loads(out)["cycle"]) == (m + n - 1) ** 2
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (5, 7)])
+def test_small_figures_are_built_by_the_decider(m, n, capsys, monkeypatch):
+    searches = []
+
+    def counted_decide(*args, **kwargs):
+        searches.append(args)
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(constructive, "decide", counted_decide)
+    rc, out, err = call_main(capsys, ["ham-build", "--m", str(m), "--n", str(n), "--json"])
+    assert (rc, err, len(searches)) == (0, "", 1)
+    assert json.loads(out)["verified"] is True
+
+
+@pytest.mark.parametrize("change", ["dropped row", "added row"])
+def test_completion_fault_is_one_error_line(change, capsys, monkeypatch):
+    # (7,8) completes its key rows with cluster 5's (1,2) and cluster 4's cut
+    # edges, and 1:1-1:2 starts its cycle; the sweep builds the odd-even
+    # pairs with c = 5 first, whose completion tables are empty
+    complete = constructive._COMPLETIONS[constructive.classify(7, 8)]
+    edit = {
+        "dropped row": lambda r: r.out.pop(0) if r.out else None,
+        "added row": lambda r: r.add(1, 1, 2, "probe"),
+    }[change]
+    use_completion(monkeypatch, 7, 8, lambda r: (complete(r), edit(r)))
+    for argv in (["ham-build", "--m", "7", "--n", "8", "--json"], ["sweep", "--max-base", "15"]):
+        rc, out, err = call_main(capsys, argv)
+        assert (rc, out) == (3, "")
+        assert err.startswith("error: odd-even-general tables: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("command", ["ham-build", "emit-key-edges", "sweep"])

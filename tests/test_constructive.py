@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from otisham import constructive
 from otisham.constructive import (
     BuildResult,
     FailureReport,
@@ -15,9 +16,17 @@ from otisham.constructive import (
 )
 from otisham.engine import decide
 from otisham.graph import is_hamiltonian_cycle
-from otisham.topology import bowtie_pair, gen_bowtie, otis
+from otisham.topology import bowtie_pair, gen_bowtie, otis, otis_bowtie_violation
 
-from conftest import CONTRADICTING_TABLES, FAULTY_TABLES, edge_set, sweep_parameter_pairs, use_table
+from conftest import (
+    CONTRADICTING_TABLES,
+    FAULTY_TABLES,
+    TABLE_CLASS_PAIRS,
+    edge_set,
+    sweep_parameter_pairs,
+    use_completion,
+    use_table,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -115,7 +124,7 @@ def test_build_equal_class():
     r = build_ham_cycle(7, 7)
     assert isinstance(r, BuildResult)
     assert len(r.cycle) == 169
-    assert is_hamiltonian_cycle(r.graph, r.cycle)
+    assert is_hamiltonian_cycle(otis(gen_bowtie(7, 7)), r.cycle)
 
 
 def test_build_even_even_unsupported():
@@ -129,8 +138,9 @@ def test_build_even_even_unsupported():
 
 def test_every_sweep_build_is_verified(sweep_builds):
     for (m, n), result in sweep_builds.items():
-        assert is_hamiltonian_cycle(result.graph, result.cycle), (m, n)
-        assert len(result.cycle) == result.graph.n_vertices
+        graph = otis(gen_bowtie(m, n))
+        assert is_hamiltonian_cycle(graph, result.cycle), (m, n)
+        assert len(result.cycle) == graph.n_vertices
 
 
 def test_construction_cost_examples():
@@ -144,31 +154,39 @@ def test_construction_cost_examples():
     assert isinstance(build_ham_cycle(4, 4), FailureReport)
 
 
-@pytest.mark.parametrize("m,n,searches", [(3, 4, 0), (7, 7, 1), (3, 3, 1)])
+@pytest.mark.parametrize("m,n,searches", [(3, 4, 0), (7, 7, 0), (3, 3, 1)])
 def test_every_built_cycle_is_checked_exactly_once(m, n, searches, monkeypatch):
-    # (3,4) completes at the table fixpoint, (7,7) needs the seeded search
-    # and the small figure (3,3) searches from an empty table
+    # (3,4) and (7,7) walk their tables, and the arithmetic check reads the
+    # walk; the small figure (3,3) searches from an empty table, and the
+    # engine checks its cycle on the graph
     import otisham.constructive
     import otisham.engine
 
     checks, decides = [], []
 
-    def counted_check(graph, order):
-        checks.append(order)
-        return is_hamiltonian_cycle(graph, order)
+    def counted(check):
+        def wrapper(*args):
+            checks.append(args[-1])
+            return check(*args)
+
+        return wrapper
 
     def counted_decide(*args, **kwargs):
         decides.append(args)
         return decide(*args, **kwargs)
 
     monkeypatch.setattr(otisham.constructive, "decide", counted_decide)
+    monkeypatch.setattr(otisham.constructive, "otis_bowtie_violation", counted(otis_bowtie_violation))
     for module in (otisham.constructive, otisham.engine):
-        monkeypatch.setattr(module, "is_hamiltonian_cycle", counted_check)
+        monkeypatch.setattr(module, "is_hamiltonian_cycle", counted(is_hamiltonian_cycle))
     assert isinstance(build_ham_cycle(m, n), BuildResult)
     assert (len(checks), len(decides)) == (1, searches)
+    # a check that fails stops the build: a table fault for a walk, an
+    # internal error for the decider
+    monkeypatch.setattr(otisham.constructive, "otis_bowtie_violation", lambda m, n, order: "length-mismatch")
     for module in (otisham.constructive, otisham.engine):
         monkeypatch.setattr(module, "is_hamiltonian_cycle", lambda graph, order: False)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError if searches else KeyEdgeError):
         build_ham_cycle(m, n)
 
 
@@ -179,6 +197,41 @@ def test_faulty_table_raises_key_edge_error(case, monkeypatch):
     with pytest.raises(KeyEdgeError) as exc:
         build_ham_cycle(m, n)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("row,message", [
+    ((15, 1, 2), "cluster 15: probe: cluster 15 out of range"),
+    ((1, 1, 4), "cluster 1: probe: (1,4) is not a base edge"),
+])
+def test_faulty_completion_row_raises_key_edge_error(row, message, monkeypatch):
+    # completion rows are validated as key rows are, and fail the same way
+    use_completion(monkeypatch, 7, 8, lambda r: r.add(*row, "probe"))
+    with pytest.raises(KeyEdgeError) as exc:
+        build_ham_cycle(7, 8)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("m,n", TABLE_CLASS_PAIRS)
+def test_every_single_row_change_is_a_table_fault(m, n, monkeypatch):
+    # the walk takes each vertex's two cycle edges from the rows, so any row
+    # dropped from the completion table, or any cycle edge added to it,
+    # leaves some vertex with a wrong count or an edge its neighbour lacks
+    complete = constructive._COMPLETIONS[classify(m, n)]
+    cycle = build_ham_cycle(m, n).cycle
+    used = []
+    for u, v in sorted(edge_set(cycle)):
+        (g, a), (h, b) = (map(int, w.split(":")) for w in (u, v))
+        if g == h:
+            used.append((g, a, b))
+    probe = constructive._Rows(m, n)
+    complete(probe)
+    changes = [lambda r, k=k: r.out.pop(k) for k in range(len(probe.out))]
+    changes += [lambda r, e=e: r.add(e[0], e[1], e[2], "probe") for e in used]
+    assert len(changes) > len(used) or classify(m, n) is ParamClass.ODD_EVEN_3
+    for change in changes:
+        use_completion(monkeypatch, m, n, lambda r: (complete(r), change(r)))
+        with pytest.raises(KeyEdgeError):
+            build_ham_cycle(m, n)
 
 
 @pytest.mark.parametrize("case", sorted(CONTRADICTING_TABLES))
@@ -202,10 +255,11 @@ def test_second_edge_disjoint_cycle_impossible_small():
         result = build_ham_cycle(m, n)
         assert isinstance(result, BuildResult)
         used = edge_set(result.cycle)
+        graph = otis(gen_bowtie(m, n))
         stripped = Graph()
-        for v in result.graph.vertices():
+        for v in graph.vertices():
             stripped.add_vertex(v)
-        for u, v in result.graph.edges():
+        for u, v in graph.edges():
             if tuple(sorted((u, v))) not in used:
                 stripped.link(stripped.add_vertex(u), stripped.add_vertex(v))
         assert not decide(stripped).is_hamiltonian

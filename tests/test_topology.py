@@ -4,7 +4,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from otisham.graph import Graph, GraphError, is_connected
+from otisham.cli import sweep_pairs
+from otisham.constructive import build_ham_cycle
+from otisham.graph import Graph, GraphError, cycle_violation, graph_hash, is_connected
 from otisham.topology import (
     bowtie_pair,
     gen_bowtie,
@@ -13,9 +15,11 @@ from otisham.topology import (
     gen_cycle,
     gen_path,
     otis,
+    otis_bowtie_hash,
+    otis_bowtie_violation,
 )
 
-from conftest import random_connected_graph
+from conftest import TABLE_CLASS_PAIRS, random_connected_graph
 
 
 def test_bowtie_small_shapes():
@@ -181,3 +185,53 @@ def test_size_errors_are_graph_errors(make, args):
     with pytest.raises(GraphError) as info:
         make(*args)
     assert isinstance(info.value, ValueError)
+
+
+def test_graph_free_hash_matches_graph_hash():
+    # every bowtie pair with m + n - 1 <= 41, even-even ones too, and two
+    # large ones; the pairs go in as given, in either order
+    pairs = sweep_pairs(41) + [(80, 81), (161, 160)]
+    differ = [(m, n) for m, n in pairs if otis_bowtie_hash(m, n) != graph_hash(otis(gen_bowtie(m, n)))]
+    assert differ == []
+    assert otis_bowtie_hash(4, 5) == otis_bowtie_hash(5, 4)
+
+
+def _damaged(order: list, graph: Graph) -> dict[str, list]:
+    """Each kind of damage done to a Hamiltonian cycle of ``graph`` given as
+    vertex indices.  For a bad closing step, reverse the path's tail after
+    a neighbour of its last vertex: every step stays an edge but the last."""
+    def adjacent(a, b):
+        return (min(a, b), max(a, b)) in graph.edge_id
+
+    far = next(k for k in range(2, len(order)) if not adjacent(order[0], order[k]))
+    turn = next(k for k in range(1, len(order) - 2)
+                if adjacent(order[k], order[-1]) and not adjacent(order[k + 1], order[0]))
+    return {
+        "swapped pair": [order[0], order[2], order[1], *order[3:]],
+        "repeated vertex": [order[0], order[0], *order[2:]],
+        "non-edge step": [order[0], *order[far:], *order[1:far]],
+        "bad closing step": [*order[:turn + 1], *order[:turn:-1]],
+        "too short": order[:-1],
+        "too long": [*order, order[0]],
+        "unknown vertex": [*order[:-1], graph.n_vertices],
+    }
+
+
+@pytest.mark.parametrize("m,n", TABLE_CLASS_PAIRS + [(3, 3), (5, 7)])
+def test_arithmetic_check_agrees_with_cycle_violation(m, n):
+    cycle = build_ham_cycle(m, n).cycle
+    graph = otis(gen_bowtie(m, n))
+    size = m + n - 1
+    order = [graph.index[v] for v in cycle]
+    assert [(int(v.split(":")[0]) - 1) * size + int(v.split(":")[1]) - 1 for v in cycle] == order
+    assert otis_bowtie_violation(m, n, order) is None is cycle_violation(graph, cycle)
+    labels = graph.labels + ["0:0"]  # index size*size stands for a label the graph lacks
+    damaged = _damaged(order, graph)
+    closing = damaged["bad closing step"]
+    # the damage reaches only the closing step
+    assert cycle_violation(graph, [labels[k] for k in closing]) == (
+        f"non-adjacent-step:{labels[closing[-1]]}-{labels[closing[0]]}")
+    for kind, bad in damaged.items():
+        want = cycle_violation(graph, [labels[k] for k in bad])
+        assert want is not None, kind
+        assert otis_bowtie_violation(m, n, bad) == want, kind

@@ -97,11 +97,12 @@ def test_cycle_tree_pairs_always_independent(k, seed):
 def test_otis_bowtie_tree_pair():
     result = build_ham_cycle(3, 5)
     assert isinstance(result, BuildResult)
+    graph = otis(gen_bowtie(3, 5))
     pair = build_ists(result.cycle, "1:1")
-    report = independence_report(pair, result.graph)
+    report = independence_report(pair, graph)
     assert report.vertex_disjoint and report.edge_disjoint
-    assert is_spanning_tree(pair.parent1, "1:1", result.graph)
-    assert is_spanning_tree(pair.parent2, "1:1", result.graph)
+    assert is_spanning_tree(pair.parent1, "1:1", graph)
+    assert is_spanning_tree(pair.parent2, "1:1", graph)
 
 
 def test_tree_pair_survives_base_chords():
@@ -110,7 +111,7 @@ def test_tree_pair_survives_base_chords():
     result = build_ham_cycle(3, 7)
     assert isinstance(result, BuildResult)
     pair = build_ists(result.cycle, "2:5")
-    assert independence_report(pair, result.graph).vertex_disjoint
+    assert independence_report(pair, otis(gen_bowtie(3, 7))).vertex_disjoint
     base = gen_bowtie(3, 7)
     base.link(base.add_vertex("4"), base.add_vertex("6"))  # chord inside the right cycle; 5 keeps degree 2
     base.link(base.add_vertex("6"), base.add_vertex("8"))  # 7 keeps degree 2
