@@ -289,11 +289,12 @@ def _complete_odd_odd_equal(r: _Rows) -> None:
     # left cluster pairs from the first even cluster past the middle, every
     # fourth, alternately crossed with (i-2, i-1) and (i-1, i)
     first = (c + 1) // 2 + (c + 1) // 2 % 2
-    pairs = range(first, c - 2, 4)
-    for k, g in enumerate(pairs):
+    for k, g in enumerate(range(first, c - 2, 4)):
         square(g, i - 2 if k % 2 == 0 else i - 1)
-    # (c-1, c) crosses a top right edge (i-top, i-top+1), then every second
-    # one from (i-top+3) down; four small pairs break the rule
+    # (c-1, c) crosses the right edges (i-a, i-a+1) for a = top, the largest
+    # even number up to (c-3)/2, and every odd a from top-3 down to 1, but
+    # a = 3 when the last left pair is (c-5, c-4) crossed with (i-2, i-1),
+    # that is c = 11 or 13 (mod 16); the pairs up to c = 13 have their own
     if c == 5:
         tops = []
     elif c <= 9:
@@ -302,9 +303,7 @@ def _complete_odd_odd_equal(r: _Rows) -> None:
         tops = [4]
     else:
         top = (c - 3) // 2 - (c - 3) // 2 % 2
-        tops = [top, *range(top - 3, 0, -2)]
-        if pairs[-1] == c - 5 and len(pairs) % 2:  # c = 11 or 13 (mod 16)
-            tops.remove(3)
+        tops = [a for a in (top, *range(top - 3, 0, -2)) if a != 3 or c % 16 not in (11, 13)]
     for a in tops:
         square(c - 1, i - a)
 

@@ -48,8 +48,9 @@ def gen_bowtie(m: int, n: int) -> Graph:
     Vertices 1..i with i = m + n - 1; the left cycle is 1-2-...-c-1 and the
     right cycle c-(c+1)-...-i-c.  Vertex v has index v - 1.
     """
+    m, n = bowtie_pair(m, n)
     g = Graph()
-    for v in range(1, sum(bowtie_pair(m, n))):
+    for v in range(1, m + n):
         g.add_vertex(str(v))
     for a, b in bowtie_links(m, n):
         g.link(a, b)
@@ -142,7 +143,7 @@ def otis_bowtie_violation(m: int, n: int, order) -> str | None:
     A ``bytearray`` marks each index seen.  A step joins two vertices of
     one cluster whose processors share a bowtie edge, or is a transpose
     edge <g,u> -- <u,g>."""
-    size = sum(bowtie_pair(m, n)) - 1
+    size = m + n - 1
     total = size * size
     if len(order) != total:
         return "length-mismatch"
@@ -177,7 +178,7 @@ def otis_bowtie_hash(m: int, n: int) -> str:
     after <g,u>.  Each cluster's text is one template, written once with
     stand-ins for the two labels that vary, and goes to the hash in one
     update, so memory stays O(N) for N base vertices."""
-    size = sum(bowtie_pair(m, n)) - 1
+    size = m + n - 1
     names = [str(v) for v in range(1, size + 1)]
     procs = sorted(range(size), key=names.__getitem__)
     clusters = sorted(range(size), key=lambda g: names[g] + ":")
