@@ -403,7 +403,7 @@ def key_edges(m: int, n: int) -> list[KeyEdge]:
 class BuildResult(NamedTuple):
     cycle: tuple[str, ...]
     param_class: ParamClass
-    steps: int  # one per vertex for a table build, the engine's for a small figure
+    steps: int  # one per cycle vertex
 
 
 class FailureReport(NamedTuple):
@@ -493,7 +493,7 @@ def _decided_build(m: int, n: int, cls: ParamClass, budget: SearchBudget | None)
         if not verdict.is_hamiltonian:
             return contradiction(f"no completion of the table fixpoint: {verdict.status}")
         cycle = verdict.cycle
-    return BuildResult(cycle=cycle, param_class=cls, steps=asg.steps)
+    return BuildResult(cycle=cycle, param_class=cls, steps=len(cycle))
 
 
 def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
