@@ -15,8 +15,9 @@ walk that is not one Hamiltonian cycle, are a table fault.
 The walk gives the cycle that the table-seeded search in
 ``tests/build_reference.py`` finds, byte for byte, since it leaves each
 vertex by its first cycle edge in incidence order as the engine read its
-forced edges.  The small figures (3,3) and (5,7) have empty tables; the
-seeded decider builds them under the search budget.
+forced edges.  The small figures (3,3) and (5,7) have empty key tables:
+their completion rows alone name the edges that the search's cycle
+leaves unused.
 
 Label arithmetic inside table rows wraps within the cycle that contains
 the label: positions 1..c wrap on the left cycle (0 meaning c), positions
@@ -28,9 +29,13 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .engine import INCONCLUSIVE, Contradiction, EdgeAssignment, SearchBudget, decide, propagate
+from .topology import bowtie_links, bowtie_pair, otis_bowtie_violation, otis_labels
+
+# Nothing here calls these four.  The traced benchmark run (bench/spans.py)
+# wraps each by name on this module, so they stay while it does.
+from .engine import decide, propagate
 from .graph import is_hamiltonian_cycle
-from .topology import bowtie_links, bowtie_pair, gen_bowtie, otis, otis_bowtie_violation, otis_label, otis_labels
+from .topology import otis
 
 
 class ParamClass(enum.Enum):
@@ -39,7 +44,7 @@ class ParamClass(enum.Enum):
     ODD_ODD_GENERAL = "odd-odd-general"  # odd cycles, 5 <= m < n
     ODD_EVEN_3 = "odd-even-3"            # left triangle, even right cycle
     ODD_EVEN_GENERAL = "odd-even-general"  # odd left >= 5, even right
-    SMALL_FIGURE = "small-figure"        # (3,3) and (5,7): empty table
+    SMALL_FIGURE = "small-figure"        # (3,3) and (5,7): empty key table
     EVEN_EVEN = "even-even"              # unsupported (refuted instances)
 
 
@@ -341,16 +346,36 @@ def _complete_odd_even_general(r: _Rows) -> None:
         r.cut(4, 1, c + 1)
 
 
-def _complete_nothing(r: _Rows) -> None:
-    """No rows: the key edges name every edge the cycle leaves unused."""
+def _complete_small_figure(r: _Rows) -> None:
+    # the edges that the seeded search's cycle leaves unused on each pair
+    c, i = r.c, r.i
+    if c == 3:  # (3,3): cut edges only
+        for g in (1, 3, 4):
+            r.cut(g, 2, i)
+        r.cut(2, 1, c + 1, i)
+        r.cut(i, 1, 2, c + 1)
+        return
+    # (5,7)
+    for g in (1, 2, 3, 5, 6, 7, 8):
+        r.cut(g, c - 1, i)
+    for g in (2, 3, 6):
+        r.add(g, i - 2, i - 1, "pair")
+    r.cut(4, 1, c + 1, i)
+    r.add(4, c + 2, c + 3, "pair")
+    for g in (9, 10):
+        r.cut(g, c + 1, i)
+    r.cut(i, 1, c - 1, c + 1)
+    r.run(i, c + 2, i - 2, "right run")
+    for g in (4, 9, 10, i):
+        r.add(g, 2, 3, "pair")
 
 
-def _rows_small_figure(r: _Rows) -> None:
-    """No rows: the decider builds (3,3) and (5,7) from the bare fixpoint."""
+def _no_rows(r: _Rows) -> None:
+    """An empty table."""
 
 
 _TABLES = {
-    ParamClass.SMALL_FIGURE: _rows_small_figure,
+    ParamClass.SMALL_FIGURE: _no_rows,  # the completion rows name every unused edge
     ParamClass.ODD_ODD_EQUAL: _rows_odd_odd_equal,
     ParamClass.ODD_ODD_3N: _rows_odd_odd_3n,
     ParamClass.ODD_EVEN_3: _rows_odd_even_3,
@@ -362,9 +387,10 @@ _TABLES = {
 # cycle leaves unused.  They are kept apart from ``key_edges``, whose rows
 # ``ham-build --emit-key-edges`` prints.
 _COMPLETIONS = {
+    ParamClass.SMALL_FIGURE: _complete_small_figure,
     ParamClass.ODD_ODD_EQUAL: _complete_odd_odd_equal,
     ParamClass.ODD_ODD_3N: _complete_odd_odd_3n,
-    ParamClass.ODD_EVEN_3: _complete_nothing,
+    ParamClass.ODD_EVEN_3: _no_rows,  # the key edges name every unused edge
     ParamClass.ODD_ODD_GENERAL: _complete_odd_odd_general,
     ParamClass.ODD_EVEN_GENERAL: _complete_odd_even_general,
 }
@@ -407,7 +433,7 @@ class BuildResult(NamedTuple):
 
 
 class FailureReport(NamedTuple):
-    kind: str  # "unsupported-class" | "contradiction" | "inconclusive" (budget cut)
+    kind: str  # "unsupported-class", the one failure a build reports
     param_class: ParamClass
     detail: str
 
@@ -465,45 +491,14 @@ def _walk(m: int, n: int, cls: ParamClass) -> list[int]:
     return order
 
 
-def _decided_build(m: int, n: int, cls: ParamClass, budget: SearchBudget | None):
-    """A small figure: seed its table, which has no rows, propagate, and
-    hand the residue to the seeded decider, which verifies its cycle."""
-    graph = otis(gen_bowtie(m, n))
-
-    def contradiction(detail: str) -> FailureReport:
-        return FailureReport("contradiction", cls, detail)
-
-    asg = EdgeAssignment.for_graph(graph)
-    for ke in key_edges(m, n):
-        asg.seed_delete(otis_label(str(ke.cluster), str(ke.a)),
-                        otis_label(str(ke.cluster), str(ke.b)))
-        if asg.conflict is not None:
-            return contradiction(f"seeding {ke.tag} already contradicts: {asg.conflict}")
-    result = propagate(asg)
-    if isinstance(result, Contradiction):
-        return contradiction(str(result))
-    if asg.n_undecided == 0:
-        cycle = asg.extract_cycle()
-        if not is_hamiltonian_cycle(graph, cycle):
-            raise AssertionError("constructed cycle failed verification")
-    else:
-        verdict = decide(graph, seed=asg, budget=budget)
-        if verdict.status == INCONCLUSIVE:
-            return FailureReport(INCONCLUSIVE, cls, f"search budget exhausted: {verdict.reason}")
-        if not verdict.is_hamiltonian:
-            return contradiction(f"no completion of the table fixpoint: {verdict.status}")
-        cycle = verdict.cycle
-    return BuildResult(cycle=cycle, param_class=cls, steps=len(cycle))
-
-
-def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
+def build_ham_cycle(m: int, n: int):
     """Construct and verify a Hamiltonian cycle of OTIS(bowtie(m, n)).
 
-    A table class walks the cycle its key and completion rows leave and
+    Walks the cycle that the class's key and completion rows leave and
     checks it by index arithmetic, with no graph and no search; a table
-    fault, the walk's or the check's, raises ``KeyEdgeError``.  The small
-    figures go to the seeded decider under ``budget``.  Returns a
-    BuildResult or a FailureReport; never an unverified cycle.
+    fault, the walk's or the check's, raises ``KeyEdgeError``.  Returns a
+    BuildResult, or a FailureReport for an even-even pair; never an
+    unverified cycle.
     """
     m, n = bowtie_pair(m, n)
     cls = classify(m, n)
@@ -514,8 +509,6 @@ def build_ham_cycle(m: int, n: int, *, budget: SearchBudget | None = None):
             detail="no construction exists for even-even pairs; "
             "(4,4) and (4,6) are proven non-Hamiltonian",
         )
-    if cls is ParamClass.SMALL_FIGURE:
-        return _decided_build(m, n, cls, budget)
     order = _walk(m, n, cls)
     reason = otis_bowtie_violation(m, n, order)
     if reason is not None:

@@ -88,10 +88,13 @@ def reference_sweep_steps() -> dict[tuple[int, int], int]:
     }
 
 
-# Key-edge tables that drive ``build_ham_cycle`` down each of its failure
-# paths: name -> (m, n, the rows written on a ``_Rows``, what the build
-# reports).  A faulty table raises ``KeyEdgeError`` with the message given;
-# a contradicting one gives a contradiction with the detail given.
+# Key-edge tables that ``build_ham_cycle`` rejects: name -> (m, n, the rows
+# written on a ``_Rows``, the ``KeyEdgeError`` message).  A faulty table
+# names a row the base graph rejects.  A contradicting one adds a cycle
+# edge of a small figure to its key table, so the walk finds a vertex with
+# the wrong number of cycle edges.  Each once reached a failure path of the
+# seeded decider that built the small figures: seeding, the fixpoint's
+# underfill and subcycle checks, and the residual search.
 FAULTY_TABLES = {
     "cluster out of range": (
         3, 3, lambda r: r.add(r.i + 1, 1, 2, "probe"), "cluster 6: probe: cluster 6 out of range"),
@@ -99,14 +102,12 @@ FAULTY_TABLES = {
         3, 4, lambda r: r.add(1, 1, 4, "probe"), "cluster 1: probe: (1,4) is not a base edge"),
 }
 CONTRADICTING_TABLES = {
-    "seeding": (
-        3, 3, lambda r: r.add(1, 1, 2, "probe"),
-        "seeding cluster 1: probe already contradicts: vertex-underfilled at 1:1"),
-    "fixpoint underfill": (3, 3, lambda r: r.add(1, 4, 5, "probe"), "vertex-underfilled at 1:5"),
-    "fixpoint subcycle": (3, 3, lambda r: r.add(3, 1, 2, "probe"), "short-subcycle of length 9 through 3:2"),
+    "seeding": (3, 3, lambda r: r.add(1, 1, 2, "probe"), "small-figure tables: 1:1 keeps 1 cycle edges"),
+    "fixpoint underfill": (3, 3, lambda r: r.add(1, 4, 5, "probe"), "small-figure tables: 1:5 keeps 0 cycle edges"),
+    "fixpoint subcycle": (3, 3, lambda r: r.add(3, 1, 2, "probe"), "small-figure tables: 3:2 keeps 0 cycle edges"),
     "residual search": (
         5, 7, lambda r: (r.add(5, 1, 2, "probe"), r.add(5, 3, 4, "probe")),
-        "no completion of the table fixpoint: non-hamiltonian"),
+        "small-figure tables: 5:4 keeps 0 cycle edges"),
 }
 
 

@@ -209,9 +209,9 @@ def test_criterion_4_cost_linearity(sweep_builds, sweep_build_seconds, reference
     # table build counts one step per vertex, so its own exponent is 1
     points = []
     for (m, n), result in sweep_builds.items():
-        if classify(m, n) is ParamClass.SMALL_FIGURE:
-            continue
         assert result.steps == len(result.cycle) == (m + n - 1) ** 2
+        if classify(m, n) is ParamClass.SMALL_FIGURE:
+            continue  # their reference build is a search from an empty table
         points.append(((m + n - 1) ** 2, reference_sweep_steps[(m, n)], sweep_build_seconds[(m, n)]))
     xs = [float(v) for v, _, _ in points]
     ys = [float(s) for _, s, _ in points]

@@ -7,7 +7,7 @@ byte for byte, so ``ham-build`` prints the same ``cycle`` as before.
 
 import pytest
 
-from otisham.constructive import _COMPLETIONS, ParamClass, _checked_rows, build_ham_cycle, classify, key_edges
+from otisham.constructive import _COMPLETIONS, _checked_rows, build_ham_cycle, key_edges
 
 from build_reference import reference_build
 from conftest import sweep_parameter_pairs
@@ -30,8 +30,6 @@ def test_large_pairs_match_the_reference(m, n):
 def test_completion_rows_repeat_no_key_edge():
     # so that each completion row is needed: dropping any one changes the walk
     for m, n in sweep_parameter_pairs(61) + LARGE_PAIRS:
-        if classify(m, n) is ParamClass.SMALL_FIGURE:
-            continue
         key = {(ke.cluster, min(ke.a, ke.b), max(ke.a, ke.b)) for ke in key_edges(m, n)}
         for ke in _checked_rows(m, n, _COMPLETIONS):
             assert (ke.cluster, min(ke.a, ke.b), max(ke.a, ke.b)) not in key, (m, n, ke)
