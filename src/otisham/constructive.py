@@ -451,9 +451,17 @@ def _walk(m: int, n: int, cls: ParamClass) -> list[int]:
     leaves by the first of its two (base edges in ``gen_bowtie``'s link
     order, then the transpose edge) and never steps back, so it reads the
     cycle as the engine did.  A vertex that breaks the rule is a table
-    fault."""
+    fault.
+
+    Only the stops take that rule one vertex at a time: 1:1, each
+    cluster's cut vertex c and every vertex that a row names.  Any other
+    processor has two bowtie edges and keeps both, so between two stops
+    the walk runs through consecutive indices of one cluster and takes
+    them in one ``extend``.  Such a run ends at a stop, or at processor 1
+    or i, whose next step is to c."""
     size = m + n - 1
     per = size + 1  # bowtie edges, so row slots per cluster
+    cut = m - 1  # the cut vertex c's processor index
     slot: dict[tuple[int, int], int] = {}
     incident: list[list[tuple[int, int]]] = [[] for _ in range(size)]
     for e, (a, b) in enumerate(bowtie_links(m, n)):
@@ -461,31 +469,55 @@ def _walk(m: int, n: int, cls: ParamClass) -> list[int]:
         incident[a].append((e, b))
         incident[b].append((e, a))
     unused = bytearray(size * per)
+    stop = bytearray(size * size)
+    stop[cut::size] = b"\1" * size
+    stop[0] = 1
     for ke in (*key_edges(m, n), *_checked_rows(m, n, _COMPLETIONS)):
         unused[(ke.cluster - 1) * per + slot[ke.a, ke.b]] = 1
+        at = (ke.cluster - 1) * size - 1  # label u of this cluster has index at + u
+        stop[at + ke.a] = stop[at + ke.b] = 1
 
     def fault(k: int, what: str) -> KeyEdgeError:
         g, u = divmod(k, size)
         return KeyEdgeError(f"{cls.value} tables: {g + 1}:{u + 1} {what}")
 
     order: list[int] = []
-    append = order.append
+    append, extend = order.append, order.extend
     first = prev = -1
     cur = 0
-    for _ in range(size * size):
-        append(cur)
-        g, u = divmod(cur, size)
-        at, row = cur - u, g * per
-        ends = [at + w for e, w in incident[u] if not unused[row + e]]
-        if len(ends) == 1 and g != u:
-            ends.append(u * size + g)
-        if len(ends) != 2:
-            raise fault(cur, f"keeps {len(ends)} cycle edges")
-        if prev not in ends:
-            if prev >= 0:
-                raise fault(cur, "keeps no edge to the vertex before it")
-            first = ends[1]  # 1:1 is left by ends[0], so the walk closes by ends[1]
-        prev, cur = cur, ends[ends[0] == prev]
+    left = size * size  # vertices the walk may still take
+    while left:
+        at = cur - cur % size
+        if stop[cur]:
+            append(cur)
+            left -= 1
+            g, u = divmod(cur, size)
+            row = g * per
+            ends = [at + w for e, w in incident[u] if not unused[row + e]]
+            if len(ends) == 1 and g != u:
+                ends.append(u * size + g)
+            if len(ends) != 2:
+                raise fault(cur, f"keeps {len(ends)} cycle edges")
+            if prev not in ends:
+                if prev >= 0:
+                    raise fault(cur, "keeps no edge to the vertex before it")
+                first = ends[1]  # 1:1 is left by ends[0], so the walk closes by ends[1]
+            prev, cur = cur, ends[ends[0] == prev]
+            continue
+        u = cur - at
+        if prev == at + (u - 1 if u else cut):  # from u-1, or from c to processor 1: run up
+            j = stop.find(1, cur, at + size)
+            run = range(cur, j if j >= 0 else at + size)
+        elif prev == at + (u + 1 if u < size - 1 else cut):  # from u+1, or from c to i: run down
+            j = stop.rfind(1, at, cur)
+            run = range(cur, j if j >= 0 else at - 1, -1)
+        else:
+            raise fault(cur, "keeps no edge to the vertex before it")
+        if len(run) > left:  # V vertices taken inside a run, so not back at 1:1, a stop
+            raise fault(run[left - 1], "does not close the walk at 1:1")
+        extend(run)
+        left -= len(run)
+        prev, cur = run[-1], j if j >= 0 else at + cut
     if cur != 0 or prev != first:
         raise fault(prev, "does not close the walk at 1:1")
     return order

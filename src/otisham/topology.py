@@ -11,7 +11,8 @@ check a cycle and hash the network by that arithmetic, with no graph.
 from __future__ import annotations
 
 import hashlib
-from itertools import combinations
+from itertools import combinations, compress, count, repeat
+from operator import sub
 
 from .graph import Graph, GraphError
 
@@ -135,18 +136,43 @@ def gen_complete(k: int) -> Graph:
     return Graph.from_edges(combinations(labels, 2), vertices=labels)
 
 
+# steps of +1 and -1 map to False, every other step to the default True
+_NOT_UNIT = {1: False, -1: False}
+
+
 def otis_bowtie_violation(m: int, n: int, order) -> str | None:
     """``cycle_violation`` of the labels of ``order``, a sequence of vertex
     indices, on OTIS(BF(m, n)), worked out from (m, n) alone: the same
     checks in the same order with the same reasons.
 
-    A ``bytearray`` marks each index seen.  A step joins two vertices of
-    one cluster whose processors share a bowtie edge, or is a transpose
-    edge <g,u> -- <u,g>."""
+    A step joins two vertices of one cluster whose processors share a
+    bowtie edge, or is a transpose edge <g,u> -- <u,g>.  A step by +1 or -1
+    inside one cluster is always a bowtie edge, u to u+1.  So when
+    ``min``, ``max`` and a ``set`` find ``order`` a permutation, only the
+    other steps are looked at one by one: in a permutation the steps
+    between two of them go one way through consecutive indices, and stay
+    in one cluster when both their ends do.  Only an order that fails this
+    is scanned element by element, with a ``bytearray`` marking each index
+    seen, for the first reason."""
     size = m + n - 1
     total = size * size
     if len(order) != total:
         return "length-mismatch"
+    base = {a * size + b for link in bowtie_links(m, n) for a, b in (link, link[::-1])}
+
+    def adjacent(a: int, b: int) -> bool:
+        ga, ua = divmod(a, size)
+        gb, ub = divmod(b, size)
+        return ua * size + ub in base if ga == gb else ga == ub and gb == ua
+
+    if min(order) == 0 and max(order) == total - 1 and len(set(order)) == total:
+        after = [*order[1:], order[0]]  # the closing step comes last
+        far = list(compress(count(), map(_NOT_UNIT.get, map(sub, after, order), repeat(True))))
+        # each far step q and the unit steps before it, from after[p] to order[q];
+        # unit steps alone go one way and never close, so far is not empty
+        if all(after[p] // size == order[q] // size and adjacent(order[q], after[q])
+               for p, q in zip([far[-1], *far], far)):
+            return None
     seen, unknown = bytearray(total), set()
     for k in order:
         if not 0 <= k < total:
@@ -159,11 +185,10 @@ def otis_bowtie_violation(m: int, n: int, order) -> str | None:
             seen[k] = 1
     if unknown:
         return "unknown-vertex"
-    base = {a * size + b for link in bowtie_links(m, n) for a, b in (link, link[::-1])}
-    for a, b in zip(order, [*order[1:], order[0]]):  # the closing step comes last
-        ga, ua = divmod(a, size)
-        gb, ub = divmod(b, size)
-        if not (ua * size + ub in base if ga == gb else ga == ub and gb == ua):
+    for a, b in zip(order, [*order[1:], order[0]]):
+        if not adjacent(a, b):
+            ga, ua = divmod(a, size)
+            gb, ub = divmod(b, size)
             return f"non-adjacent-step:{ga + 1}:{ua + 1}-{gb + 1}:{ub + 1}"
     return None
 

@@ -22,16 +22,31 @@ edge in each vertex's incidence order.
 
 ``build_ham_cycle(m, n).cycle`` must equal ``reference_build(m, n).cycle``
 on every supported pair; ``steps`` here is the engine's count.
+
+``reference_walk`` is the walk that ``constructive._walk`` replaced: it
+applies the vertex rule at every vertex, one loop pass each, where the
+package's walk takes the runs between two stops in one ``extend``.  The
+two must return the same list, and fault at the same vertex with the same
+message, on every table.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from otisham.constructive import UNSUPPORTED_CLASS, FailureReport, ParamClass, classify, key_edges
+from otisham.constructive import (
+    _COMPLETIONS,
+    UNSUPPORTED_CLASS,
+    FailureReport,
+    KeyEdgeError,
+    ParamClass,
+    _checked_rows,
+    classify,
+    key_edges,
+)
 from otisham.engine import INCONCLUSIVE, Contradiction, EdgeAssignment, SearchBudget, decide, propagate
 from otisham.graph import Graph, is_hamiltonian_cycle
-from otisham.topology import bowtie_pair, gen_bowtie, otis, otis_label
+from otisham.topology import bowtie_links, bowtie_pair, gen_bowtie, otis, otis_label
 
 
 class ReferenceBuild(NamedTuple):
@@ -78,3 +93,44 @@ def reference_build(m: int, n: int, *, budget: SearchBudget | None = None):
             return contradiction(f"no completion of the table fixpoint: {verdict.status}")
         cycle = verdict.cycle
     return ReferenceBuild(cycle=cycle, param_class=cls, steps=asg.steps, graph=graph)
+
+
+def reference_walk(m: int, n: int, cls: ParamClass) -> list[int]:
+    """``constructive._walk``'s cycle, or its ``KeyEdgeError``, one vertex
+    per loop pass."""
+    size = m + n - 1
+    per = size + 1
+    slot: dict[tuple[int, int], int] = {}
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for e, (a, b) in enumerate(bowtie_links(m, n)):
+        slot[a + 1, b + 1] = slot[b + 1, a + 1] = e
+        incident[a].append((e, b))
+        incident[b].append((e, a))
+    unused = bytearray(size * per)
+    for ke in (*key_edges(m, n), *_checked_rows(m, n, _COMPLETIONS)):
+        unused[(ke.cluster - 1) * per + slot[ke.a, ke.b]] = 1
+
+    def fault(k: int, what: str) -> KeyEdgeError:
+        g, u = divmod(k, size)
+        return KeyEdgeError(f"{cls.value} tables: {g + 1}:{u + 1} {what}")
+
+    order: list[int] = []
+    first = prev = -1
+    cur = 0
+    for _ in range(size * size):
+        order.append(cur)
+        g, u = divmod(cur, size)
+        at, row = cur - u, g * per
+        ends = [at + w for e, w in incident[u] if not unused[row + e]]
+        if len(ends) == 1 and g != u:
+            ends.append(u * size + g)
+        if len(ends) != 2:
+            raise fault(cur, f"keeps {len(ends)} cycle edges")
+        if prev not in ends:
+            if prev >= 0:
+                raise fault(cur, "keeps no edge to the vertex before it")
+            first = ends[1]
+        prev, cur = cur, ends[ends[0] == prev]
+    if cur != 0 or prev != first:
+        raise fault(prev, "does not close the walk at 1:1")
+    return order

@@ -8,6 +8,11 @@ must give the same digest on every graph.  ``cycle_violation`` checks on
 labels, with a set and a list of the whole order; the package's, on vertex
 indices, must give the same answer for every order.
 
+``otis_bowtie_violation`` is the arithmetic check of an OTIS(BF(m,n))
+cycle as the package had it before its permutation and unit-step fast
+test: it marks every index in a ``bytearray`` and works every step out by
+``divmod``.  The package's must give the same reason for every order.
+
 ``LabelGraph`` builds the arrays of a ``Graph`` by label: ``add_vertex``
 checks every label it is given and ``add_edge`` looks both ends up in its
 own label-to-index dict.  ``from_edges``, ``read_edge_list``,
@@ -21,6 +26,7 @@ from __future__ import annotations
 import hashlib
 
 from otisham.graph import Graph, GraphError
+from otisham.topology import bowtie_links
 
 
 def graph_hash(graph: Graph) -> str:
@@ -51,6 +57,32 @@ def cycle_violation(graph: Graph, order) -> str | None:
         v = order[(k + 1) % len(order)]
         if not graph.has_edge(u, v):
             return f"non-adjacent-step:{u}-{v}"
+    return None
+
+
+def otis_bowtie_violation(m: int, n: int, order) -> str | None:
+    size = m + n - 1
+    total = size * size
+    if len(order) != total:
+        return "length-mismatch"
+    seen, unknown = bytearray(total), set()
+    for k in order:
+        if not 0 <= k < total:
+            if k in unknown:
+                return "duplicate-vertex"
+            unknown.add(k)
+        elif seen[k]:
+            return "duplicate-vertex"
+        else:
+            seen[k] = 1
+    if unknown:
+        return "unknown-vertex"
+    base = {a * size + b for link in bowtie_links(m, n) for a, b in (link, link[::-1])}
+    for a, b in zip(order, [*order[1:], order[0]]):
+        ga, ua = divmod(a, size)
+        gb, ub = divmod(b, size)
+        if not (ua * size + ub in base if ga == gb else ga == ub and gb == ua):
+            return f"non-adjacent-step:{ga + 1}:{ua + 1}-{gb + 1}:{ub + 1}"
     return None
 
 

@@ -1,5 +1,6 @@
 import ast
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from conftest import (
     use_completion,
     use_table,
 )
+from build_reference import reference_walk
 from test_bench_spans import load_spans
 
 DATA = Path(__file__).parent / "data"
@@ -204,18 +206,23 @@ def test_faulty_completion_row_raises_key_edge_error(row, message, monkeypatch):
     assert str(exc.value) == message
 
 
+def used_rows(m: int, n: int) -> list[tuple[int, int, int]]:
+    """The intracluster edges of the built cycle of (m, n), as (cluster, a, b)."""
+    used = []
+    for u, v in sorted(edge_set(build_ham_cycle(m, n).cycle)):
+        (g, a), (h, b) = (map(int, w.split(":")) for w in (u, v))
+        if g == h:
+            used.append((g, a, b))
+    return used
+
+
 @pytest.mark.parametrize("m,n", TABLE_CLASS_PAIRS)
 def test_every_single_row_change_is_a_table_fault(m, n, monkeypatch):
     # the walk takes each vertex's two cycle edges from the rows, so any row
     # dropped from the completion table, or any cycle edge added to it,
     # leaves some vertex with a wrong count or an edge its neighbour lacks
     complete = constructive._COMPLETIONS[classify(m, n)]
-    cycle = build_ham_cycle(m, n).cycle
-    used = []
-    for u, v in sorted(edge_set(cycle)):
-        (g, a), (h, b) = (map(int, w.split(":")) for w in (u, v))
-        if g == h:
-            used.append((g, a, b))
+    used = used_rows(m, n)
     probe = constructive._Rows(m, n)
     complete(probe)
     changes = [lambda r, k=k: r.out.pop(k) for k in range(len(probe.out))]
@@ -223,8 +230,70 @@ def test_every_single_row_change_is_a_table_fault(m, n, monkeypatch):
     assert probe.out or classify(m, n) is ParamClass.ODD_EVEN_3  # the one class with no completion rows
     for change in changes:
         use_completion(monkeypatch, m, n, lambda r: (complete(r), change(r)))
-        with pytest.raises(KeyEdgeError):
+        # the run walk faults where the vertex walk does, with its message
+        with pytest.MonkeyPatch.context() as vertex_walk:
+            vertex_walk.setattr(constructive, "_walk", reference_walk)
+            with pytest.raises(KeyEdgeError) as want:
+                build_ham_cycle(m, n)
+        with pytest.raises(KeyEdgeError) as got:
             build_ham_cycle(m, n)
+        assert str(got.value) == str(want.value)
+
+
+# pairs whose cycles have long runs: mean run 81.5 at (3,160), 21.1 at
+# (3,161), 54.7 at (161,163) and 64.8 at (161,160); 4.0 at (81,81)
+RUN_WALK_PAIRS = [(81, 80), (81, 81), (161, 160), (3, 160), (3, 161), (161, 163)]
+
+
+def test_run_walk_matches_the_vertex_walk():
+    pairs = sweep_parameter_pairs(61) + RUN_WALK_PAIRS
+    assert len(pairs) == 637
+    differ = [(m, n) for m, n in pairs
+              if constructive._walk(m, n, classify(m, n)) != reference_walk(m, n, classify(m, n))]
+    assert differ == []
+
+
+def walk_outcomes(m: int, n: int, trials: int) -> list:
+    """The run walk's list or fault message under random changes to the
+    completion rows of (m, n), each checked against the vertex walk's: up
+    to three rows dropped and one to three cycle edges added at once."""
+    cls = classify(m, n)
+    complete = constructive._COMPLETIONS[cls]
+    used = used_rows(m, n)
+    probe = constructive._Rows(m, n)
+    complete(probe)
+
+    def outcome(walk):
+        try:
+            return walk(m, n, cls)
+        except KeyEdgeError as exc:
+            return str(exc)
+
+    rng = random.Random(m * 100 + n)
+    outcomes = []
+    for _ in range(trials):
+        drop = set(rng.sample(range(len(probe.out)), min(len(probe.out), rng.randint(0, 3))))
+        add = rng.sample(used, rng.randint(1, 3))
+
+        def changed(r):
+            complete(r)
+            r.out[:] = [ke for k, ke in enumerate(r.out) if k not in drop]
+            for row in add:
+                r.add(*row, "probe")
+
+        with pytest.MonkeyPatch.context() as patch:
+            use_completion(patch, m, n, changed)
+            got = outcome(constructive._walk)
+            assert got == outcome(reference_walk), (m, n, drop, add)
+        outcomes.append(got)
+    return outcomes
+
+
+def test_run_walk_faults_as_the_vertex_walk():
+    outcomes = [got for m, n in TABLE_CLASS_PAIRS + [(3, 3), (5, 7)] for got in walk_outcomes(m, n, 150)]
+    # some change leaves a subcycle through 1:1, which the walk runs round
+    # until it has taken V vertices
+    assert any(str(got).endswith("does not close the walk at 1:1") for got in outcomes)
 
 
 @pytest.mark.parametrize("case", sorted(CONTRADICTING_TABLES))

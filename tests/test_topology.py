@@ -20,6 +20,7 @@ from otisham.topology import (
 )
 
 from conftest import TABLE_CLASS_PAIRS, random_connected_graph
+import graph_reference
 
 
 def test_bowtie_small_shapes():
@@ -235,3 +236,57 @@ def test_arithmetic_check_agrees_with_cycle_violation(m, n):
         want = cycle_violation(graph, [labels[k] for k in bad])
         assert want is not None, kind
         assert otis_bowtie_violation(m, n, bad) == want, kind
+
+
+def _fuzzed(order: list, size: int, rng: random.Random) -> list[list]:
+    """Random damage of each kind done to a cycle ``order`` of vertex
+    indices over ``size`` base vertices, rotations and reversals of it
+    that leave it a cycle, and orders with unit steps from cluster to
+    cluster, g*N-1 to g*N, the closing step among them."""
+    total = len(order)
+    i, j = sorted(rng.sample(range(total), 2))
+    k = rng.randrange(total)
+    swapped = order[:]
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    neighbours = order[:]
+    neighbours[k - 1], neighbours[k] = neighbours[k], neighbours[k - 1]
+    out = [*order]
+    out[k] = rng.choice([-1, total, total + rng.randrange(total), -rng.randrange(2, total)])
+    repeated = [*order]
+    repeated[k] = order[i if i != k else j]
+    # g*N taken out and put back just after g*N-1
+    g = rng.randrange(1, size)
+    crossing = [v for v in order if v != g * size]
+    crossing.insert(crossing.index(g * size - 1) + 1, g * size)
+    at = crossing.index(g * size)
+    return [
+        swapped,
+        neighbours,
+        out,
+        repeated,
+        order[:k],
+        order[:k] + order[k + 1:] + [order[k]],
+        order[k:] + order[:k],
+        order[::-1],
+        order[:i] + order[i:j][::-1] + order[j:],
+        crossing,
+        crossing[at:] + crossing[:at],  # the crossing step closes the order
+        crossing[::-1],
+        list(range(total)),
+        list(range(total))[k:] + list(range(k)),
+        list(range(total - 1, -1, -1)),
+    ]
+
+
+@pytest.mark.parametrize("m,n", TABLE_CLASS_PAIRS + [(3, 3), (5, 7)])
+def test_arithmetic_check_agrees_with_the_element_scan(m, n):
+    size = m + n - 1
+    order = [(int(g) - 1) * size + int(u) - 1 for g, u in (v.split(":") for v in build_ham_cycle(m, n).cycle)]
+    rng = random.Random(size)
+    reasons = Counter()
+    for _ in range(60):
+        for bad in _fuzzed(order, size, rng):
+            want = graph_reference.otis_bowtie_violation(m, n, bad)
+            assert otis_bowtie_violation(m, n, bad) == want, (bad, want)
+            reasons[want.split(":")[0] if want else want] += 1
+    assert set(reasons) == {None, "length-mismatch", "duplicate-vertex", "unknown-vertex", "non-adjacent-step"}
