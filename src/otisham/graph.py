@@ -88,14 +88,6 @@ class Graph:
         lab = self.labels
         return [(lab[a], lab[b]) for a, b in self.oriented_ends()]
 
-    def neighbors(self, v: str) -> list[str]:
-        k = self._vertex(v)
-        lab, ends = self.labels, self.ends
-        return [lab[b if a == k else a] for a, b in (ends[e] for e in self.incident[k])]
-
-    def degree(self, v: str) -> int:
-        return len(self.incident[self._vertex(v)])
-
     def has_edge(self, u: str, v: str) -> bool:
         a, b = self.index.get(u), self.index.get(v)
         if a is None or b is None:

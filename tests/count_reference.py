@@ -17,6 +17,8 @@ from __future__ import annotations
 from otisham.engine import MIS_CANDIDATE_CAP, CountingCertificate, _max_independent_set
 from otisham.graph import Graph
 
+from graph_reference import degree, neighbors
+
 
 def counting_refutation(graph: Graph) -> CountingCertificate | None:
     budget = graph.n_edges - graph.n_vertices
@@ -24,20 +26,20 @@ def counting_refutation(graph: Graph) -> CountingCertificate | None:
         return None
     high: list[str] = []
     for v in sorted(graph.vertices()):
-        if graph.degree(v) >= 4 and all(not graph.has_edge(v, w) for w in high):
+        if degree(graph, v) >= 4 and all(not graph.has_edge(v, w) for w in high):
             high.append(v)
-    family_bound = sum(graph.degree(v) - 2 for v in high)
-    high_or_excluded = {v for v in graph.vertices() if graph.degree(v) >= 4}
+    family_bound = sum(degree(graph, v) - 2 for v in high)
+    high_or_excluded = {v for v in graph.vertices() if degree(graph, v) >= 4}
     candidates = [
         v
         for v in graph.vertices()
-        if graph.degree(v) == 3
-        and not any(w in high_or_excluded for w in graph.neighbors(v))
+        if degree(graph, v) == 3
+        and not any(w in high_or_excluded for w in neighbors(graph, v))
     ]
     if len(candidates) > MIS_CANDIDATE_CAP:
         return None
     cand_set = set(candidates)
-    adj = {v: {w for w in graph.neighbors(v) if w in cand_set} for v in candidates}
+    adj = {v: {w for w in neighbors(graph, v) if w in cand_set} for v in candidates}
     mis = sorted(_max_independent_set(adj))
     total = family_bound + len(mis)
     if total <= budget:
@@ -68,20 +70,20 @@ def certificate_problems(graph: Graph, cert: CountingCertificate) -> list[str]:
         return problems + [f"unknown vertices {unknown}"]
     if len(set(counted)) != len(counted):
         problems.append("a vertex is counted twice")
-    problems += [f"family member {v} has degree below 4" for v in family if graph.degree(v) < 4]
+    problems += [f"family member {v} has degree below 4" for v in family if degree(graph, v) < 4]
     problems += [
         f"family members {u} and {v} are adjacent"
         for x, u in enumerate(family)
         for v in family[x + 1 :]
         if graph.has_edge(u, v)
     ]
-    if cert.family_bound != sum(graph.degree(v) - 2 for v in family):
+    if cert.family_bound != sum(degree(graph, v) - 2 for v in family):
         problems.append(f"family_bound {cert.family_bound} is not the sum of deg - 2")
-    problems += [f"set vertex {v} does not have degree 3" for v in indep if graph.degree(v) != 3]
+    problems += [f"set vertex {v} does not have degree 3" for v in indep if degree(graph, v) != 3]
     problems += [
         f"set vertex {v} is adjacent to {w}"
         for v in indep
-        for w in graph.neighbors(v)
+        for w in neighbors(graph, v)
         if w in counted
     ]
     if cert.independent_bound != len(indep):

@@ -8,6 +8,10 @@ must give the same digest on every graph.  ``cycle_violation`` checks on
 labels, with a set and a list of the whole order; the package's, on vertex
 indices, must give the same answer for every order.
 
+``neighbors`` and ``degree`` are the label-level views that ``Graph``
+had as methods.  The package reads the index arrays; only the tests and
+their references read a graph by label this way.
+
 ``otis_bowtie_violation`` is the arithmetic check of an OTIS(BF(m,n))
 cycle as the package had it before its permutation and unit-step fast
 test: it marks every index in a ``bytearray`` and works every step out by
@@ -58,6 +62,17 @@ def cycle_violation(graph: Graph, order) -> str | None:
         if not graph.has_edge(u, v):
             return f"non-adjacent-step:{u}-{v}"
     return None
+
+
+def neighbors(graph: Graph, v: str) -> list[str]:
+    """The labels next to ``v``, in the order its edges were added."""
+    k = graph._vertex(v)
+    lab, ends = graph.labels, graph.ends
+    return [lab[b if a == k else a] for a, b in (ends[e] for e in graph.incident[k])]
+
+
+def degree(graph: Graph, v: str) -> int:
+    return len(graph.incident[graph._vertex(v)])
 
 
 def otis_bowtie_violation(m: int, n: int, order) -> str | None:
@@ -140,7 +155,7 @@ def from_edges(edges, vertices=()) -> LabelGraph:
 def write_edge_list(graph: Graph) -> str:
     lines = [f"V {graph.n_vertices}"]
     for v in graph.vertices():
-        if graph.degree(v) == 0:
+        if degree(graph, v) == 0:
             lines.append(v)
     for u, v in graph.edges():
         lines.append(f"{u} {v}")

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from otisham.graph import Graph
 
+from graph_reference import neighbors
+
 
 def oracle_find_cycle(graph: Graph) -> list[str] | None:
     """Some Hamiltonian cycle as a vertex order, or None."""
@@ -15,7 +17,7 @@ def oracle_find_cycle(graph: Graph) -> list[str] | None:
     n = len(verts)
     if n < 3:
         return None
-    adj = {v: set(graph.neighbors(v)) for v in verts}
+    adj = {v: set(neighbors(graph, v)) for v in verts}
     start = verts[0]
     path = [start]
     used = {start}
@@ -23,7 +25,7 @@ def oracle_find_cycle(graph: Graph) -> list[str] | None:
     def extend() -> bool:
         if len(path) == n:
             return start in adj[path[-1]]
-        for w in graph.neighbors(path[-1]):
+        for w in neighbors(graph, path[-1]):
             if w not in used:
                 path.append(w)
                 used.add(w)
@@ -46,7 +48,7 @@ def oracle_all_cycles(graph: Graph) -> list[frozenset[tuple[str, str]]]:
     n = len(verts)
     if n < 3:
         return []
-    adj = {v: set(graph.neighbors(v)) for v in verts}
+    adj = {v: set(neighbors(graph, v)) for v in verts}
     start = verts[0]
     found: set[frozenset[tuple[str, str]]] = set()
     path = [start]
@@ -64,7 +66,7 @@ def oracle_all_cycles(graph: Graph) -> list[frozenset[tuple[str, str]]]:
             if start in adj[path[-1]]:
                 record()
             return
-        for w in graph.neighbors(path[-1]):
+        for w in neighbors(graph, path[-1]):
             if w not in used:
                 path.append(w)
                 used.add(w)

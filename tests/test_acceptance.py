@@ -41,6 +41,7 @@ from conftest import (
     sweep_parameter_pairs,
     sweep_roots,
 )
+from graph_reference import degree
 from ham_oracle import oracle_is_hamiltonian
 from ist_reference import is_spanning_tree
 
@@ -355,7 +356,7 @@ def test_criterion_8_hamiltonian_bases_and_butterflies():
         bf = gen_butterfly(dim)
         assert bf.n_vertices == dim * 2**dim
         assert bf.n_edges == dim * 2 ** (dim + 1)
-        assert all(bf.degree(v) == 4 for v in bf.vertices())
+        assert all(degree(bf, v) == 4 for v in bf.vertices())
     report(
         "criterion 8 (hamiltonian bases)",
         "OTIS(C3/C4/C5/K4) hamiltonian in "
@@ -379,8 +380,8 @@ def test_criterion_9_degree_and_diameter_law():
         g = otis(base)
         for label in g.vertices():
             cluster, proc = divmod(g.index[label], base.n_vertices)  # <g,u> is g*N + u
-            expected = base.degree(base.labels[proc]) + (1 if cluster != proc else 0)
-            assert g.degree(label) == expected, label
+            expected = degree(base, base.labels[proc]) + (1 if cluster != proc else 0)
+            assert degree(g, label) == expected, label
         d = diameter(base)
         od = diameter(g)
         assert od == 2 * d + 1, f"diameter law violated: base d={d}, otis d={od}"

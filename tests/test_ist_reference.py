@@ -14,6 +14,7 @@ from otisham.topology import gen_bowtie, otis
 from otisham.trees import TreePair, build_ists, independence_report
 
 import ist_reference
+from graph_reference import degree, neighbors
 from conftest import sweep_parameter_pairs, sweep_roots
 
 CASES_PER_KIND = 400
@@ -49,7 +50,7 @@ def random_tree(rng: random.Random, graph: Graph, root: str) -> dict[str, str]:
     parent, seen, frontier = {}, {root}, [root]
     while frontier:
         u = frontier.pop(rng.randrange(len(frontier)))
-        for w in rng.sample(graph.neighbors(u), graph.degree(u)):
+        for w in rng.sample(neighbors(graph, u), degree(graph, u)):
             if w not in seen:
                 seen.add(w)
                 parent[w] = u
@@ -121,12 +122,12 @@ def broken_chain(rng):
                 continue
         elif mode == 2:  # a longer loop: x hangs off a neighbour below it
             below = descendants(parent, x)
-            loops = [w for w in graph.neighbors(x) if w in below]
+            loops = [w for w in neighbors(graph, x) if w in below]
             if loops:
                 parent[x] = rng.choice(loops)
                 continue
         elif mode == 3:  # the root gets a parent of its own
-            parent[pair.root] = rng.choice(graph.neighbors(pair.root))
+            parent[pair.root] = rng.choice(neighbors(graph, pair.root))
             continue
         del parent[x]  # a missing parent, also when mode 1 or 2 finds no pick
     return with_parents(pair, *parents), graph
@@ -154,7 +155,7 @@ def root_with_parent(rng):
     pair, graph = independent(rng) if rng.random() < 0.5 else shared_interior(rng)
     parents = [dict(pair.parent1), dict(pair.parent2)]
     for parent in rng.sample(parents, rng.randint(1, 2)):
-        parent[pair.root] = rng.choice(graph.neighbors(pair.root))
+        parent[pair.root] = rng.choice(neighbors(graph, pair.root))
     return with_parents(pair, *parents), graph
 
 
