@@ -538,8 +538,8 @@ def build_ham_cycle(m: int, n: int):
         return FailureReport(
             kind=UNSUPPORTED_CLASS,
             param_class=cls,
-            detail="no construction exists for even-even pairs; "
-            "(4,4) and (4,6) are proven non-Hamiltonian",
+            detail="no table exists for even-even pairs; "
+            "only (4,4) and (4,6) are proven non-Hamiltonian",
         )
     order = _walk(m, n, cls)
     reason = otis_bowtie_violation(m, n, order)

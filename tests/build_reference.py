@@ -64,8 +64,8 @@ def reference_build(m: int, n: int, *, budget: SearchBudget | None = None):
         return FailureReport(
             kind=UNSUPPORTED_CLASS,
             param_class=cls,
-            detail="no construction exists for even-even pairs; "
-            "(4,4) and (4,6) are proven non-Hamiltonian",
+            detail="no table exists for even-even pairs; "
+            "only (4,4) and (4,6) are proven non-Hamiltonian",
         )
     graph = otis(gen_bowtie(m, n))
 
