@@ -7,10 +7,12 @@ intracluster edges that its cycle leaves unused: the key edges
 completion rows, which name the rest.  So every vertex g:u knows its two
 cycle edges: the base edges at u that no row names in cluster g, and its
 transpose edge <g,u> -- <u,g> when only one is left.  ``build_ham_cycle``
-walks them from 1:1 in one integer step per vertex, checks the walk by the
-OTIS(BF) adjacency rule and hashes nothing: it builds no graph and runs no
-search.  Rows that leave a vertex without exactly two cycle edges, or a
-walk that is not one Hamiltonian cycle, are a table fault.
+walks them from 1:1, checks the walk by the OTIS(BF) adjacency rule and
+hashes nothing: it builds no graph and runs no search.  The walk takes one
+step per vertex only where a row or the cut vertex is; elsewhere it runs
+through consecutive indices of a cluster in one step.  Rows that leave a
+vertex without exactly two cycle edges, or a walk that is not one
+Hamiltonian cycle, are a table fault.
 
 The walk gives the cycle that the table-seeded search in
 ``tests/build_reference.py`` finds, byte for byte, since it leaves each
@@ -487,11 +489,11 @@ def _walk(m: int, n: int, cls: ParamClass) -> list[int]:
     cur = 0
     left = size * size  # vertices the walk may still take
     while left:
-        at = cur - cur % size
+        g, u = divmod(cur, size)
+        at = cur - u
         if stop[cur]:
             append(cur)
             left -= 1
-            g, u = divmod(cur, size)
             row = g * per
             ends = [at + w for e, w in incident[u] if not unused[row + e]]
             if len(ends) == 1 and g != u:
@@ -504,7 +506,6 @@ def _walk(m: int, n: int, cls: ParamClass) -> list[int]:
                 first = ends[1]  # 1:1 is left by ends[0], so the walk closes by ends[1]
             prev, cur = cur, ends[ends[0] == prev]
             continue
-        u = cur - at
         if prev == at + (u - 1 if u else cut):  # from u-1, or from c to processor 1: run up
             j = stop.find(1, cur, at + size)
             run = range(cur, j if j >= 0 else at + size)
