@@ -240,8 +240,8 @@ def test_every_single_row_change_is_a_table_fault(m, n, monkeypatch):
         assert str(got.value) == str(want.value)
 
 
-# pairs whose cycles have long runs: mean run 81.5 at (3,160), 21.1 at
-# (3,161), 54.7 at (161,163) and 64.8 at (161,160); 4.0 at (81,81)
+# large pairs of all five table classes; their cycles have one step that
+# is not +1 or -1 per 3.8 vertices at (81,81) up to one per 54.3 at (3,160)
 RUN_WALK_PAIRS = [(81, 80), (81, 81), (161, 160), (3, 160), (3, 161), (161, 163)]
 
 
