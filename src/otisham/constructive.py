@@ -68,12 +68,17 @@ def classify(m: int, n: int) -> ParamClass:
 
 class KeyEdge(NamedTuple):
     """One table row: intracluster edge (a, b) of cluster ``cluster``, which
-    the cycle leaves unused, tagged with the row that produced it."""
+    the cycle leaves unused, and the kind of row that produced it."""
 
     cluster: int
     a: int
     b: int
-    tag: str
+    kind: str
+
+    @property
+    def tag(self) -> str:
+        """The row's cluster and kind, as in ``cluster 4: cut edges``."""
+        return f"cluster {self.cluster}: {self.kind}"
 
 
 class KeyEdgeError(ValueError):
@@ -82,15 +87,18 @@ class KeyEdgeError(ValueError):
 
 
 class _Rows:
-    """Accumulates (cluster, edge, tag) rows with label arithmetic local to
-    the cycle containing each label.  Each tag names its row's cluster and
-    kind, as in ``cluster 4: cut edges``."""
+    """Writes one table's rows with label arithmetic local to the cycle
+    containing each label.  Each row is checked against BF(m, n) as it is
+    written, and a row naming an edge the table already holds is dropped,
+    keeping the first kind."""
 
     def __init__(self, m: int, n: int):
         self.c = m
         self.i = m + n - 1
         self.n = n
         self.out: list[KeyEdge] = []
+        self.base = {(a + 1, b + 1) for link in bowtie_links(m, n) for a, b in (link, link[::-1])}
+        self.seen: set[tuple[int, int, int]] = set()
 
     def left(self, x: int, k: int = 0) -> int:
         """Label x+k on the left cycle {1..c}, 0 standing for c."""
@@ -101,7 +109,15 @@ class _Rows:
         return (x + k - self.c) % self.n + self.c
 
     def add(self, cluster: int, a: int, b: int, kind: str) -> None:
-        self.out.append(KeyEdge(cluster, a, b, f"cluster {cluster}: {kind}"))
+        row = KeyEdge(cluster, a, b, kind)
+        if not 1 <= cluster <= self.i:
+            raise KeyEdgeError(f"{row.tag}: cluster {cluster} out of range")
+        if (a, b) not in self.base:
+            raise KeyEdgeError(f"{row.tag}: ({a},{b}) is not a base edge")
+        key = (cluster, a, b) if a < b else (cluster, b, a)
+        if key not in self.seen:
+            self.seen.add(key)
+            self.out.append(row)
 
     def cut(self, cluster: int, *others: int) -> None:
         """Cut edges (c, x) for each x of ``others``, in order."""
@@ -398,34 +414,22 @@ _COMPLETIONS = {
 }
 
 
-def _checked_rows(m: int, n: int, tables) -> list[KeyEdge]:
+def _table_rows(m: int, n: int, tables) -> list[KeyEdge]:
     """The rows that the table in ``tables`` writes for the class of (m, n),
-    validated against BF(m, n) and deduplicated keeping the first tag."""
+    checked as ``_Rows`` writes them."""
     m, n = bowtie_pair(m, n)
     cls = classify(m, n)
     if cls not in tables:
         raise ValueError(f"no key-edge table for class {cls.value}")
     rows = _Rows(m, n)
     tables[cls](rows)
-    base = {(a + 1, b + 1) for link in bowtie_links(m, n) for a, b in (link, link[::-1])}
-    seen: set[tuple[int, int, int]] = set()
-    out: list[KeyEdge] = []
-    for ke in rows.out:
-        if not 1 <= ke.cluster <= rows.i:
-            raise KeyEdgeError(f"{ke.tag}: cluster {ke.cluster} out of range")
-        if (ke.a, ke.b) not in base:
-            raise KeyEdgeError(f"{ke.tag}: ({ke.a},{ke.b}) is not a base edge")
-        key = (ke.cluster, min(ke.a, ke.b), max(ke.a, ke.b))
-        if key not in seen:
-            seen.add(key)
-            out.append(ke)
-    return out
+    return rows.out
 
 
 def key_edges(m: int, n: int) -> list[KeyEdge]:
-    """The table deletions for a supported class, validated against the
-    base graph and deduplicated keeping the first provenance tag."""
-    return _checked_rows(m, n, _TABLES)
+    """The table deletions for a supported class, checked against the base
+    graph, each edge once with the kind of the first row that names it."""
+    return _table_rows(m, n, _TABLES)
 
 
 class BuildResult(NamedTuple):
@@ -474,7 +478,7 @@ def _walk(m: int, n: int, cls: ParamClass) -> list[int]:
     stop = bytearray(size * size)
     stop[cut::size] = b"\1" * size
     stop[0] = 1
-    for ke in (*key_edges(m, n), *_checked_rows(m, n, _COMPLETIONS)):
+    for ke in (*key_edges(m, n), *_table_rows(m, n, _COMPLETIONS)):
         unused[(ke.cluster - 1) * per + slot[ke.a, ke.b]] = 1
         at = (ke.cluster - 1) * size - 1  # label u of this cluster has index at + u
         stop[at + ke.a] = stop[at + ke.b] = 1

@@ -145,19 +145,22 @@ def otis_bowtie_violation(m: int, n: int, order) -> str | None:
     indices, on OTIS(BF(m, n)), worked out from (m, n) alone: the same
     checks in the same order with the same reasons.
 
-    A step joins two vertices of one cluster whose processors share a
-    bowtie edge, or is a transpose edge <g,u> -- <u,g>.  A step by +1 or -1
-    inside one cluster is always a bowtie edge, u to u+1.  So when
-    ``min``, ``max`` and a ``set`` find ``order`` a permutation, only the
+    A repeat anywhere is ``duplicate-vertex``, ahead of an index out of
+    range.  A step joins two vertices of one cluster whose processors share
+    a bowtie edge, or is a transpose edge <g,u> -- <u,g>.  A step by +1 or
+    -1 inside one cluster is always a bowtie edge, u to u+1.  So only the
     other steps are looked at one by one: in a permutation the steps
     between two of them go one way through consecutive indices, and stay
     in one cluster when both their ends do.  Only an order that fails this
-    is scanned element by element, with a ``bytearray`` marking each index
-    seen, for the first reason."""
+    is walked step by step, for the first step that is not an edge."""
     size = m + n - 1
     total = size * size
     if len(order) != total:
         return "length-mismatch"
+    if len(set(order)) != total:
+        return "duplicate-vertex"
+    if min(order) < 0 or max(order) >= total:
+        return "unknown-vertex"
     base = {a * size + b for link in bowtie_links(m, n) for a, b in (link, link[::-1])}
 
     def adjacent(a: int, b: int) -> bool:
@@ -165,27 +168,14 @@ def otis_bowtie_violation(m: int, n: int, order) -> str | None:
         gb, ub = divmod(b, size)
         return ua * size + ub in base if ga == gb else ga == ub and gb == ua
 
-    if min(order) == 0 and max(order) == total - 1 and len(set(order)) == total:
-        after = [*order[1:], order[0]]  # the closing step comes last
-        far = list(compress(count(), map(_NOT_UNIT.get, map(sub, after, order), repeat(True))))
-        # each far step q and the unit steps before it, from after[p] to order[q];
-        # unit steps alone go one way and never close, so far is not empty
-        if all(after[p] // size == order[q] // size and adjacent(order[q], after[q])
-               for p, q in zip([far[-1], *far], far)):
-            return None
-    seen, unknown = bytearray(total), set()
-    for k in order:
-        if not 0 <= k < total:
-            if k in unknown:
-                return "duplicate-vertex"
-            unknown.add(k)
-        elif seen[k]:
-            return "duplicate-vertex"
-        else:
-            seen[k] = 1
-    if unknown:
-        return "unknown-vertex"
-    for a, b in zip(order, [*order[1:], order[0]]):
+    after = [*order[1:], order[0]]  # the closing step comes last
+    far = list(compress(count(), map(_NOT_UNIT.get, map(sub, after, order), repeat(True))))
+    # each far step q and the unit steps before it, from after[p] to order[q];
+    # unit steps alone go one way and never close, so far is not empty
+    if all(after[p] // size == order[q] // size and adjacent(order[q], after[q])
+           for p, q in zip([far[-1], *far], far)):
+        return None
+    for a, b in zip(order, after):
         if not adjacent(a, b):
             ga, ua = divmod(a, size)
             gb, ub = divmod(b, size)

@@ -40,7 +40,7 @@ from otisham.constructive import (
     FailureReport,
     KeyEdgeError,
     ParamClass,
-    _checked_rows,
+    _table_rows,
     classify,
     key_edges,
 )
@@ -107,7 +107,7 @@ def reference_walk(m: int, n: int, cls: ParamClass) -> list[int]:
         incident[a].append((e, b))
         incident[b].append((e, a))
     unused = bytearray(size * per)
-    for ke in (*key_edges(m, n), *_checked_rows(m, n, _COMPLETIONS)):
+    for ke in (*key_edges(m, n), *_table_rows(m, n, _COMPLETIONS)):
         unused[(ke.cluster - 1) * per + slot[ke.a, ke.b]] = 1
 
     def fault(k: int, what: str) -> KeyEdgeError:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from otisham import constructive
+from otisham import cli, constructive
 from otisham.constructive import (
     BuildResult,
     FailureReport,
@@ -204,6 +204,24 @@ def test_faulty_completion_row_raises_key_edge_error(row, message, monkeypatch):
     with pytest.raises(KeyEdgeError) as exc:
         build_ham_cycle(7, 8)
     assert str(exc.value) == message
+
+
+def test_a_faulty_key_row_is_reported_before_a_faulty_completion_row(monkeypatch):
+    # the key table is written and checked in full before any completion row
+    table = constructive._TABLES[classify(7, 8)]
+    use_table(monkeypatch, 7, 8, lambda r: (table(r), r.add(1, 1, 4, "probe")))
+    use_completion(monkeypatch, 7, 8, lambda r: r.add(15, 1, 2, "probe"))
+    with pytest.raises(KeyEdgeError) as exc:
+        build_ham_cycle(7, 8)
+    assert str(exc.value) == "cluster 1: probe: (1,4) is not a base edge"
+
+
+def test_a_repeated_key_edge_keeps_its_first_kind(monkeypatch, capsys):
+    use_table(monkeypatch, 7, 7, lambda r: (r.add(1, 1, 2, "first"), r.add(1, 2, 1, "second")))
+    assert key_edges(7, 7) == [(1, 1, 2, "first")]
+    assert cli.main(["ham-build", "--m", "7", "--n", "7", "--emit-key-edges", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["key_edges"]
+    assert rows == [{"cluster": 1, "edge": [1, 2], "tag": "cluster 1: first"}]
 
 
 def used_rows(m: int, n: int) -> list[tuple[int, int, int]]:

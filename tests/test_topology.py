@@ -241,9 +241,10 @@ def test_arithmetic_check_agrees_with_cycle_violation(m, n):
 
 def _fuzzed(order: list, size: int, rng: random.Random) -> list[list]:
     """Random damage of each kind done to a cycle ``order`` of vertex
-    indices over ``size`` base vertices, rotations and reversals of it
-    that leave it a cycle, and orders with unit steps from cluster to
-    cluster, g*N-1 to g*N, the closing step among them."""
+    indices over ``size`` base vertices, a repeat and an unknown index at
+    once, rotations and reversals of it that leave it a cycle, and orders
+    with unit steps from cluster to cluster, g*N-1 to g*N, the closing
+    step among them."""
     total = len(order)
     i, j = sorted(rng.sample(range(total), 2))
     k = rng.randrange(total)
@@ -254,7 +255,10 @@ def _fuzzed(order: list, size: int, rng: random.Random) -> list[list]:
     out = [*order]
     out[k] = rng.choice([-1, total, total + rng.randrange(total), -rng.randrange(2, total)])
     repeated = [*order]
-    repeated[k] = order[i if i != k else j]
+    src = i if i != k else j
+    repeated[k] = order[src]
+    both = [*repeated]  # a repeat and an unknown index: the repeat is named
+    both[next(p for p in range(total) if p not in (k, src))] = out[k]
     # g*N taken out and put back just after g*N-1
     g = rng.randrange(1, size)
     crossing = [v for v in order if v != g * size]
@@ -265,6 +269,7 @@ def _fuzzed(order: list, size: int, rng: random.Random) -> list[list]:
         neighbours,
         out,
         repeated,
+        both,
         order[:k],
         order[:k] + order[k + 1:] + [order[k]],
         order[k:] + order[:k],
