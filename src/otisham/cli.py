@@ -2,9 +2,10 @@
 
 Exit codes: 0 success / verdict obtained, 2 inconclusive (budget),
 3 verification mismatch or a key-edge table fault, 4 usage error: a bad
-option or size (such as ``sweep --max-base`` below 5), a ``gen`` option
-missing or foreign to its family, an unreadable or malformed input file,
-or a label or pair the graph does not have.  Handlers raise ``GraphError``
+option or size (such as ``sweep --max-base`` below 5, or a graph or OTIS
+network over the size limit of ``topology.MAX_EDGES``, 2**23 edges), a
+``gen`` option missing or foreign to its family, an unreadable or
+malformed input file, or a label or pair the graph does not have.  Handlers raise ``GraphError``
 for usage errors and ``KeyEdgeError`` for table faults, and ``main`` alone
 prints each as one ``error:`` line.  ``--json`` output is
 byte-identical across runs for identical inputs, budgets and seed;
@@ -381,6 +382,8 @@ def _sweep_one(m: int, n: int) -> dict:
 def cmd_sweep(args) -> int:
     if args.max_base < 5:
         raise GraphError("--max-base must be >= 5")
+    # the largest network the sweep walks is OTIS(BF(3, max_base - 2))
+    bowtie_pair(3, args.max_base - 2)
     entries = [_sweep_one(m, n) for m, n in sweep_pairs(args.max_base)]
     entries.sort(key=lambda e: (e["m"], e["n"]))
     failed = [e for e in entries if e["status"] == "failed"]

@@ -16,10 +16,22 @@ from operator import sub
 
 from .graph import Graph, GraphError
 
+# The most edges that a command may build or walk.  OTIS(BF(1001, 1000)),
+# the largest network in use, has 6,001,000.
+MAX_EDGES = 1 << 23
+
+
+def _check_size(what: str, edges: int) -> None:
+    """Refuse ``what``, a graph of ``edges`` edges, before anything is built
+    for it, when that is over ``MAX_EDGES``."""
+    if edges > MAX_EDGES:
+        raise GraphError(f"{what} is over the size limit of {MAX_EDGES} edges")
+
 
 def bowtie_pair(m: int, n: int) -> tuple[int, int]:
     """The bowtie pair (m, n) in canonical order, after checking both cycle
-    lengths are at least 3 (the error names the pair as given).
+    lengths are at least 3 and OTIS(BF(m, n)) within the size limit (the
+    errors name the pair as given).
 
     ``m`` is the left cycle length (labels 1..c, c = m), ``n`` the right
     cycle length (labels c..i, i = m + n - 1).  Pairs are ordered so that
@@ -28,6 +40,8 @@ def bowtie_pair(m: int, n: int) -> tuple[int, int]:
     """
     if m < 3 or n < 3:
         raise GraphError(f"cycle lengths must be >= 3, got ({m}, {n})")
+    size = m + n - 1  # N base vertices: N(N+1) cluster edges, N(N-1)/2 transpose edges
+    _check_size(f"OTIS(BF({m}, {n}))", size * (3 * size + 1) // 2)
     if m % 2 == n % 2:
         return min(m, n), max(m, n)
     return (n, m) if n % 2 else (m, n)  # odd side goes left
@@ -70,6 +84,8 @@ def gen_butterfly(dim: int) -> Graph:
     unchanged or with bit (level+1 mod dim) flipped."""
     if dim < 3:
         raise GraphError(f"butterfly dimension must be >= 3, got {dim}")
+    # 2*dim*2**dim edges; a shift past the limit's bit length is over it anyway
+    _check_size(f"butterfly of dimension {dim}", 2 * dim << min(dim, MAX_EDGES.bit_length()))
     g = Graph()
     size = 1 << dim
     for u in range(dim * size):  # (level, word) has index level * 2**dim + word
@@ -119,12 +135,14 @@ def otis(base: Graph) -> Graph:
 def gen_cycle(k: int) -> Graph:
     if k < 3:
         raise GraphError(f"cycle needs k >= 3, got {k}")
+    _check_size(f"cycle of {k} vertices", k)
     return Graph.from_edges((str(v), str(v % k + 1)) for v in range(1, k + 1))
 
 
 def gen_path(k: int) -> Graph:
     if k < 1:
         raise GraphError(f"path needs k >= 1, got {k}")
+    _check_size(f"path of {k} vertices", k - 1)
     labels = [str(v) for v in range(1, k + 1)]
     return Graph.from_edges(zip(labels, labels[1:]), vertices=labels)
 
@@ -132,6 +150,7 @@ def gen_path(k: int) -> Graph:
 def gen_complete(k: int) -> Graph:
     if k < 3:
         raise GraphError(f"complete graph needs k >= 3, got {k}")
+    _check_size(f"complete graph of {k} vertices", k * (k - 1) // 2)
     labels = [str(v) for v in range(1, k + 1)]
     return Graph.from_edges(combinations(labels, 2), vertices=labels)
 

@@ -427,6 +427,14 @@ def test_bad_input_fails_closed(case, tmp_path):
     (["sweep", "--max-base", "4"], "--max-base must be >= 5"),
     (["ham-build", "--m", "7", "--n", "7", "--emit-key-edges", "--dot"],
      "--emit-key-edges takes neither --dot nor --out"),
+    # sizes over the limit are refused before anything is allocated
+    (["gen", "cycle", "--k", "99999999999999999999"],
+     "cycle of 99999999999999999999 vertices is over the size limit of 8388608 edges"),
+    (["gen", "butterfly", "--dim", "64"], "butterfly of dimension 64 is over the size limit of 8388608 edges"),
+    (["ham-build", "--m", "99999999999999999999", "--n", "4"],
+     "OTIS(BF(99999999999999999999, 4)) is over the size limit of 8388608 edges"),
+    (["sweep", "--max-base", "99999999999999999999"],
+     "OTIS(BF(3, 99999999999999999997)) is over the size limit of 8388608 edges"),
 ])
 def test_bad_input_message(argv, message, capsys):
     assert call_main(capsys, argv) == (4, "", f"error: {message}\n")

@@ -8,6 +8,7 @@ from otisham.cli import sweep_pairs
 from otisham.constructive import build_ham_cycle
 from otisham.graph import Graph, GraphError, cycle_violation, graph_hash, is_connected
 from otisham.topology import (
+    MAX_EDGES,
     bowtie_pair,
     gen_bowtie,
     gen_butterfly,
@@ -181,12 +182,28 @@ def test_fixture_generators():
     (gen_cycle, (2,)),
     (gen_path, (0,)),
     (gen_complete, (2,)),
-], ids=["bowtie_pair", "gen_bowtie", "gen_butterfly", "gen_cycle", "gen_path", "gen_complete"])
+    # one past the size limit, refused before anything is built
+    (bowtie_pair, (3, 2363)),
+    (gen_bowtie, (2363, 3)),
+    (gen_butterfly, (18,)),
+    (gen_cycle, (MAX_EDGES + 1,)),
+    (gen_path, (MAX_EDGES + 2,)),
+    (gen_complete, (4097,)),
+], ids=["bowtie_pair", "gen_bowtie", "gen_butterfly", "gen_cycle", "gen_path", "gen_complete",
+        "bowtie_pair over", "gen_bowtie over", "gen_butterfly over", "gen_cycle over", "gen_path over",
+        "gen_complete over"])
 def test_size_errors_are_graph_errors(make, args):
     # the CLI reports GraphError as bad input; ValueError callers see no change
     with pytest.raises(GraphError) as info:
         make(*args)
     assert isinstance(info.value, ValueError)
+
+
+def test_size_limit_admits_the_largest_network_in_use():
+    # OTIS(BF(1001, 1000)) has 6,001,000 edges; OTIS(BF(3, 2362)), with
+    # 8,383,926, is the largest within the limit
+    assert bowtie_pair(1001, 1000) == (1001, 1000)
+    assert bowtie_pair(2362, 3) == (3, 2362)
 
 
 def test_graph_free_hash_matches_graph_hash():
