@@ -5,11 +5,11 @@ Exit codes: 0 success / verdict obtained, 2 inconclusive (budget),
 option or size (such as ``sweep --max-base`` below 5, or a graph or OTIS
 network over the size limit of ``topology.MAX_EDGES``, 2**23 edges), a
 ``gen`` option missing or foreign to its family, an unreadable or
-malformed input file, or a label or pair the graph does not have.  Handlers raise ``GraphError``
-for usage errors and ``KeyEdgeError`` for table faults, and ``main`` alone
-prints each as one ``error:`` line.  ``--json`` output is
-byte-identical across runs for identical inputs, budgets and seed;
-timings are printed only in human-readable mode.
+malformed input file, or a label or pair the graph does not have.
+Handlers raise ``GraphError`` for usage errors and ``KeyEdgeError`` for
+table faults, and ``main`` alone prints each as one ``error:`` line.
+``--json`` output is byte-identical across runs for identical inputs,
+budgets and seed; timings are printed only in human-readable mode.
 """
 
 from __future__ import annotations
