@@ -63,14 +63,17 @@ def _digest(text: str) -> str:
 
 
 def run_cli(*argv) -> str:
-    """Exit code and standard output of one in-process command."""
+    """Exit code and standard output of one in-process command, less the
+    ``wall_ms:`` line that ends a human-readable report: a timing is not
+    output that a refactor keeps byte for byte."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main([str(a) for a in argv])
         except SystemExit as exc:
             code = exc.code
-    return f"{code}\n{out.getvalue()}"
+    kept = [ln for ln in out.getvalue().splitlines(keepends=True) if not ln.startswith("wall_ms: ")]
+    return f"{code}\n{''.join(kept)}"
 
 
 def _gen_files(workdir: Path) -> dict[str, tuple[Path, Path]]:
