@@ -2,7 +2,9 @@
 
 Removing either edge at a chosen root turns the cycle into a spanning
 tree; the two trees route every vertex along opposite arcs, so their
-root paths share no interior vertex.
+root paths share no interior vertex.  ``independence_report`` checks that
+shape itself, one Hamiltonian path walked both ways, in O(V) instead of
+comparing root paths of general tree shapes.
 """
 
 from __future__ import annotations
@@ -49,128 +51,41 @@ class IndependenceReport(NamedTuple):
     first_violation: str | None = None
 
 
-def _preorder(par: list[int], root: int | None) -> list[int]:
-    """Vertex indices reachable from ``root`` along child links, in a
-    preorder, so that every subtree is one contiguous run.  A vertex whose
-    parent chain breaks or loops before the root is left out."""
-    children: list[list[int]] = [[] for _ in par]
-    for x, p in enumerate(par):
-        if p >= 0:
-            children[p].append(x)
-    order = []
-    stack = [] if root is None else [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(children[u])
-    return order
+def independence_report(pair: TreePair, graph: Graph | None = None) -> IndependenceReport:
+    """Check, in O(V), that the pair is one Hamiltonian path walked both
+    ways: tree 1 goes down the path from the root, and tree 2 climbs the
+    same path back up to the root.  Then every vertex's two root paths are
+    the two arcs of one cycle, so they share no interior vertex, and no
+    edge once there are 3 vertices or more.  Any other pair is rejected.
 
-
-def _interior(par: list[int], root: int, v: int) -> set[int]:
-    """The vertices strictly between v and the root on v's root path."""
-    out = set()
-    x = par[v]
-    while x != root:
-        out.add(x)
-        x = par[x]
-    return out
-
-
-def independence_report(pair: TreePair, graph: Graph) -> IndependenceReport:
-    """Check that both root paths of every vertex are internally
-    vertex-disjoint (and, reported separately, edge-disjoint), and that
-    every tree edge is an edge of ``graph``.
-
-    Runs in O(V log V).  Give each tree Euler-tour intervals ``[tin, tout)``
-    from a preorder.  v's two root paths share only their ends iff exactly
-    two vertices, the root and v, are ancestors-or-self of v in both trees:
-    w is one iff the point ``(tin1(v), tin2(v))`` lies in the rectangle
-    ``[tin1(w), tout1(w)) x [tin2(w), tout2(w))``.  An edge lies on both
-    paths iff v is under its child end in each tree, one more rectangle per
-    edge the trees share.  One depth-first walk of the first tree sweeps
-    along x: a rectangle is open while its vertex is on the walk's stack,
-    and a Fenwick tree over ``tin2`` (range add, point query) counts the
-    open rectangles over each point."""
-    index, labels = graph.index, graph.labels
-    n = graph.n_vertices
-    pars = []
-    for parent in (pair.parent1, pair.parent2):
-        par = [-1] * n
-        for child, p in parent.items():
-            if not graph.has_edge(child, p):
-                return IndependenceReport(False, False, f"tree edge {child}-{p} not in graph")
-            par[index[child]] = index[p]
-        pars.append(par)
-    if pair.root in pair.parent1 or pair.root in pair.parent2:
-        return IndependenceReport(False, False, f"root {pair.root} has a parent")
-    par1, par2 = pars
-    r = index.get(pair.root)
-    order1, order2 = _preorder(par1, r), _preorder(par2, r)
-    if len(order1) < n or len(order2) < n:
-        reached = set(order1) & set(order2)
-        v = next(v for v in range(n) if v not in reached)
-        return IndependenceReport(False, False, f"no root path for {labels[v]}")
-
-    tin2 = [0] * n
-    for t, u in enumerate(order2):
-        tin2[u] = t
-    tout2 = [t + 1 for t in tin2]  # subtree sizes added up from the leaves
-    for u in reversed(order2):
-        if u != r:
-            tout2[par2[u]] += tout2[u] - tin2[u]
-    # shared[x]: the T2 child end of the edge from x to its T1 parent, or -1
-    # where T2 does not have that edge
-    shared = [-1] * n
-    for x, p in enumerate(par1):
-        if x != r:
-            shared[x] = x if par2[x] == p else p if par2[p] == x else -1
-
-    # a vertex count is at most n, so shared edges are counted in units of w_edge
-    w_edge = n + 1
-    fen = [0] * (n + 1)
-
-    def span(lo: int, hi: int, w: int) -> None:
-        """Add w at every position in [lo, hi)."""
-        i = lo + 1
-        while i <= n:
-            fen[i] += w
-            i += i & -i
-        i = hi + 1
-        while i <= n:
-            fen[i] -= w
-            i += i & -i
-
-    def toggle(u: int, sign: int) -> None:
-        """Open (sign 1) or close (sign -1) the rectangles of vertex u."""
-        span(tin2[u], tout2[u], sign)
-        c = shared[u]
-        if c >= 0:
-            span(tin2[c], tout2[c], sign * w_edge)
-
-    count = [0] * n
-    stack: list[int] = []
-    for v in order1:
-        if v != r:
-            while stack[-1] != par1[v]:
-                toggle(stack.pop(), -1)
-        toggle(v, 1)
-        stack.append(v)
-        i, s = tin2[v] + 1, 0
-        while i:
-            s += fen[i]
-            i &= i - 1
-        count[v] = s
-
-    vertex_ok = edge_ok = True
-    violation = None
-    for v in range(n):
-        if v == r or count[v] == 2:
-            continue
-        if count[v] >= w_edge:
-            edge_ok = False
-        if count[v] % w_edge != 2:
-            vertex_ok = False
-            if violation is None:
-                common = _interior(par1, r, v) & _interior(par2, r, v)
-                violation = f"paths to {labels[v]} share {min(labels[x] for x in common)}"
-    return IndependenceReport(vertex_ok, edge_ok, violation)
+    Given ``graph``, every tree edge must be a graph edge and every graph
+    vertex must lie on the path; without it, the vertices are the trees'
+    own.  The first violation is named in the order the checks run: a tree
+    edge not in the graph (tree 1 first), a root with a parent, a branch in
+    tree 1, a vertex off the path, then a step of tree 2 off the path."""
+    root, parent1, parent2 = pair
+    if graph is not None:
+        for parent in (parent1, parent2):
+            for child, p in parent.items():
+                if not graph.has_edge(child, p):
+                    return IndependenceReport(False, False, f"tree edge {child}-{p} not in graph")
+    if root in parent1 or root in parent2:
+        return IndependenceReport(False, False, f"root {root} has a parent")
+    below: dict[str, str] = {}
+    for child, p in parent1.items():
+        if p in below:
+            return IndependenceReport(False, False, f"tree 1 branches at {p}")
+        below[p] = child
+    # no vertex has two children and the root has no parent, so this walk
+    # cannot return to a vertex it has left
+    path = [root]
+    while path[-1] in below:
+        path.append(below[path[-1]])
+    on_path = set(path)
+    for v in graph.labels if graph is not None else [*parent1, *parent2]:
+        if v not in on_path:
+            return IndependenceReport(False, False, f"no root path for {v}")
+    for v, up in zip(path[1:], [*path[2:], root]):
+        if parent2.get(v) != up:
+            return IndependenceReport(False, False, f"tree 2 leaves the path at {v}")
+    return IndependenceReport(True, len(path) != 2)

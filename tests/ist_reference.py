@@ -1,9 +1,12 @@
-"""The root-path-walking independence check that ``trees.independence_report``
-replaced, kept as its reference, plus the spanning-tree helpers the tests use.
+"""The root-path-walking independence check, kept as the reference for
+``trees.independence_report``, plus the spanning-tree helpers the tests use.
 
-``independence_report`` walks both root paths of every vertex, which is
-O(V^2); the library version counts common ancestors with one Fenwick sweep
-and must return an equal ``IndependenceReport`` on every input.
+``independence_report`` here walks both root paths of every vertex, which
+is O(V^2), and handles trees of any shape.  The library check accepts only
+the shape ``build_ists`` makes, one Hamiltonian path walked both ways, in
+O(V).  On every pair ``build_ists`` gives, the two must return equal
+``IndependenceReport``s; on any other pair the library may reject what the
+walker accepts, but never the other way round.
 """
 
 from __future__ import annotations

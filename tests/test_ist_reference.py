@@ -1,8 +1,10 @@
-"""``trees.independence_report`` against the root-path walk it replaced.
+"""``trees.independence_report`` against the root-path walk in
+``ist_reference``.
 
-Both must return equal ``IndependenceReport``s, ``first_violation``
-included: the Fenwick sweep runs the same checks in the same order and
-names the same first offending vertex and shared vertex.
+On every pair ``build_ists`` gives, from any order and against any graph,
+both must return equal ``IndependenceReport``s, ``first_violation``
+included.  On hand-damaged pairs of other shapes the library check must
+reject, and must never report a disjointness the walker denies.
 """
 
 import random
@@ -25,6 +27,16 @@ def assert_same_report(pair, graph):
     want = ist_reference.independence_report(pair, graph)
     assert got == want, (pair, graph.edges())
     return got
+
+
+def assert_no_overclaim(pair, graph):
+    """The library report claims no disjointness that the walker's denies;
+    both reports are returned, the library's first."""
+    got = independence_report(pair, graph)
+    want = ist_reference.independence_report(pair, graph)
+    assert want.vertex_disjoint or not got.vertex_disjoint, (pair, graph.edges(), got, want)
+    assert want.edge_disjoint or not got.edge_disjoint, (pair, graph.edges(), got, want)
+    return got, want
 
 
 def cycle_graph(rng: random.Random, k: int) -> tuple[Graph, list[str]]:
@@ -193,16 +205,91 @@ EXPECTED = {
 }
 
 
+def trees_graph(pair: TreePair) -> Graph:
+    """The graph of the trees' own edges, which is all the library check
+    sees when it is given no graph."""
+    edges = {frozenset(e) for parent in (pair.parent1, pair.parent2) for e in parent.items()}
+    return Graph.from_edges(map(sorted, edges), vertices=[pair.root, *pair.parent1, *pair.parent2])
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_random_tree_pairs_match(kind):
+    # the walker's verdicts show that each generator reaches its case; the
+    # library matches it exactly on the unspoiled pairs and rejects the rest
     rng = random.Random(f"ist {kind}")
     seen = {}
     for _ in range(CASES_PER_KIND):
-        report = assert_same_report(*KINDS[kind](rng))
-        seen[outcome(report)] = seen.get(outcome(report), 0) + 1
+        pair, graph = KINDS[kind](rng)
+        got, want = assert_no_overclaim(pair, graph)
+        if kind == "independent":  # with a graph or without
+            assert got == want == independence_report(pair), (pair, graph.edges())
+        else:
+            assert not got.vertex_disjoint and got.first_violation, (pair, graph.edges(), got)
+        alone = independence_report(pair)
+        if alone.vertex_disjoint:  # then the trees' own edges bear it out
+            assert alone == ist_reference.independence_report(pair, trees_graph(pair)), pair
+        seen[outcome(want)] = seen.get(outcome(want), 0) + 1
     assert seen.get(EXPECTED[kind], 0) >= CASES_PER_KIND // 4, seen
     if kind != "independent":  # a valid pair here is a case the generator failed to spoil
         assert EXPECTED["independent"] not in seen, seen
+
+
+def damaged_order(rng):
+    # two entries swapped or a stretch reversed: a walk the graph may lack
+    graph, order = cycle_graph(rng, rng.randint(3, 14))
+    a, b = sorted(rng.sample(range(len(order)), 2))
+    if rng.random() < 0.5:
+        order[a], order[b] = order[b], order[a]
+    else:
+        order[a:b + 1] = order[a:b + 1][::-1]
+    return order, graph
+
+
+def order_over_subset(rng):
+    # the graph keeps vertices that the order leaves out
+    graph, order = cycle_graph(rng, rng.randint(4, 14))
+    return rng.sample(order, rng.randint(3, len(order) - 1)), graph
+
+
+def foreign_labels(rng):
+    graph, order = cycle_graph(rng, rng.randint(3, 14))
+    for j in rng.sample(range(len(order)), rng.randint(1, 2)):
+        order[j] = f"zz{j}"
+    return order, graph
+
+
+def wrong_graph(rng):
+    # another cycle graph over labels that may overlap, the graph less one
+    # cycle edge, or the graph plus a vertex of its own
+    graph, order = cycle_graph(rng, rng.randint(3, 14))
+    mode = rng.randrange(3)
+    if mode == 0:
+        return order, cycle_graph(rng, rng.randint(3, 14))[0]
+    if mode == 1:
+        j = rng.randrange(len(order))
+        cut = {order[j], order[(j + 1) % len(order)]}
+        return order, Graph.from_edges((e for e in graph.edges() if set(e) != cut), vertices=graph.vertices())
+    graph.add_vertex("zz")
+    return order, graph
+
+
+ORDER_DAMAGE = {
+    "damaged order": damaged_order,
+    "order over a subset": order_over_subset,
+    "foreign labels": foreign_labels,
+    "wrong graph": wrong_graph,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(ORDER_DAMAGE))
+def test_build_ists_pairs_match(damage):
+    rng = random.Random(f"ist order {damage}")
+    rejected = 0
+    for _ in range(CASES_PER_KIND):
+        order, graph = ORDER_DAMAGE[damage](rng)
+        report = assert_same_report(build_ists(order, rng.choice(order)), graph)
+        rejected += not report.vertex_disjoint
+    assert rejected >= CASES_PER_KIND // 4
 
 
 def test_degenerate_graphs_match():

