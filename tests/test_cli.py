@@ -591,3 +591,38 @@ def test_ist_names_the_first_violation(tmp_path, capsys):
     assert json.loads(out)["independent"] is False
     # tree 1 walks against the cycle: order[2] now hangs from order[3]
     assert err == f"error: tree edge {order[2]}-{order[3]} not in graph\n"
+
+
+def _ist_certificate(tmp_path, capsys, m, n):
+    """The OTIS(BF(m,n)) edge list, its built certificate and the
+    certificate's parsed payload."""
+    base, net, cert = tmp_path / "b.el", tmp_path / "o.el", tmp_path / "c.json"
+    assert call_main(capsys, ["gen", "bowtie", "--m", str(m), "--n", str(n), "--out", str(base)])[0] == 0
+    assert call_main(capsys, ["otis", "--in", str(base), "--out", str(net)])[0] == 0
+    assert call_main(capsys, ["ham-build", "--m", str(m), "--n", str(n), "--out", str(cert)])[0] == 0
+    return net, cert, json.loads(cert.read_text())
+
+
+def test_ist_names_a_vertex_left_off_the_cycle(tmp_path, capsys):
+    net, cert, payload = _ist_certificate(tmp_path, capsys, 3, 5)
+    order = payload["order"]
+    # a vertex whose cycle neighbours are adjacent: without it the walk
+    # keeps every tree edge in the graph, and the graph keeps its hash
+    graph = otis(gen_bowtie(3, 5))
+    k = next(k for k in range(1, len(order) - 1) if graph.has_edge(order[k - 1], order[k + 1]))
+    dropped = order.pop(k)
+    cert.write_text(json.dumps(payload))
+    rc, out, err = call_main(capsys, ["ist", "--cycle", str(cert), "--root", order[0], "--in", str(net), "--json"])
+    assert (rc, json.loads(out)["independent"]) == (3, False)
+    assert err == f"error: no root path for {dropped}\n"
+
+
+def test_ist_names_a_tree_edge_to_a_foreign_label(tmp_path, capsys):
+    net, cert, payload = _ist_certificate(tmp_path, capsys, 7, 7)
+    order = payload["order"]
+    order[2] = "zz"
+    cert.write_text(json.dumps(payload))
+    rc, out, err = call_main(capsys, ["ist", "--cycle", str(cert), "--root", order[0], "--in", str(net), "--json"])
+    assert (rc, json.loads(out)["independent"]) == (3, False)
+    # tree 1 walks against the cycle: its first edge is order[1] to order[2]
+    assert err == f"error: tree edge {order[1]}-zz not in graph\n"
