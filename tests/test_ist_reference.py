@@ -293,11 +293,14 @@ def test_build_ists_pairs_match(damage):
 
 
 def test_degenerate_graphs_match():
-    # no vertices, the root alone, and one vertex that is not the root
-    graphs = [Graph(), Graph.from_edges([], vertices=["a"]), Graph.from_edges([], vertices=["b"])]
-    for pair in (build_ists(["a", "b", "c"], "a"), TreePair("a", {}, {})):
+    # no vertices, the root alone, one vertex that is not the root, and one
+    # edge, whose two vertices' root paths are that same edge
+    graphs = [Graph(), Graph.from_edges([], vertices=["a"]), Graph.from_edges([], vertices=["b"]),
+              Graph.from_edges([("a", "b")])]
+    for pair in (build_ists(["a", "b", "c"], "a"), TreePair("a", {}, {}), TreePair("a", {"b": "a"}, {"b": "a"})):
         for graph in graphs:
             assert_same_report(pair, graph)
+    assert independence_report(TreePair("a", {"b": "a"}, {"b": "a"})) == (True, False, None)
 
 
 @pytest.mark.parametrize("m,n", sweep_parameter_pairs(21))

@@ -68,13 +68,6 @@ def test_a_pair_of_another_shape_is_rejected_at_its_first_fault():
     assert independence_report(same_way) == (False, False, "tree 2 leaves the path at a")
 
 
-def test_two_vertices_share_their_one_edge():
-    pair = TreePair("r", {"a": "r"}, {"a": "r"})
-    graph = Graph.from_edges([("r", "a")])
-    assert independence_report(pair, graph) == ist_reference.independence_report(pair, graph) == (True, False, None)
-    assert independence_report(pair) == (True, False, None)
-
-
 def test_root_with_a_parent_is_not_a_tree_pair():
     # the two arcs of the closed walk a-b-c-a-d-e-a on the bowtie, each with
     # five edges on five vertices: the root's parent closes a triangle
