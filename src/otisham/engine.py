@@ -14,8 +14,9 @@ hand derivation follows.  The fixpoint is order-independent; only which
 witness of an inconsistent state is reported first depends on it.
 
 A complete decider searches over the undecided edges with this propagation
-as the pruning engine, and a counting refuter certifies non-Hamiltonicity
-from degree surpluses alone.  The search keeps one assignment, logs the id
+as the pruning engine, branching at the end of a forced path so that the
+path it has grows (Rubin, J. ACM 21, 1974), and a counting refuter
+certifies non-Hamiltonicity from degree surpluses alone.  The search keeps one assignment, logs the id
 of each edge it changes to a trail, and backtracks by undoing the trail to a
 mark, working out the rest (the trail of MiniSat, Een & Sorensson 2003).
 """
@@ -66,6 +67,13 @@ class EdgeAssignment:
     Saturation and the chord cut fire in ``_force``: outside a conflict,
     ``forced <= 2``, ``forced == 2`` implies ``live == 2``, and no undecided
     edge joins the two ends of a forced chain shorter than |V|.
+
+    ``key[v]`` is v's branch key: ``live[v]``, plus |V| + 1 unless v is a
+    forced-path end (exactly one forced edge), plus |V| + 1 more once v is
+    saturated.  A live count is below |V|, so the keys order path ends by
+    live count ahead of unforced vertices by live count, with saturated
+    vertices last.  ``_force``, ``_delete`` and ``_undo`` keep it with the
+    counts.
     """
 
     __slots__ = (
@@ -79,7 +87,8 @@ class EdgeAssignment:
         "queue",
         "steps",
         "trail",
-        "lo",  # branch cursor: no vertex below it has exactly three live edges
+        "key",
+        "lo",  # branch cursor: no vertex below it has key 3
     )
 
     def __init__(self, graph: Graph):
@@ -88,6 +97,7 @@ class EdgeAssignment:
         self.state = bytearray(m)
         self.forced = [0] * n
         self.live = [len(inc) for inc in graph.incident]
+        self.key = [d + n + 1 for d in self.live]  # no vertex is a path end yet
         # the graph's own int object per vertex, not a fresh one per entry
         self.chain_end = list(graph.index.values())
         self.n_forced = 0
@@ -175,14 +185,20 @@ class EdgeAssignment:
         self.queue.append(a)
         self.queue.append(b)
         self.trail.append(eid)
+        # a first forced edge makes a path end, a second saturates
+        forced, key, w = self.forced, self.key, len(lab) + 1
+        key[a] += 2 * w if forced[a] == 2 else -w
+        key[b] += 2 * w if forced[b] == 2 else -w
+        if key[a] == 3 or key[b] == 3:  # lower the cursor to the first (a < b)
+            self.lo = min(self.lo, a if key[a] == 3 else b)
         if not closing:
             self.chain_end[end_a] = end_b
             self.chain_end[end_b] = end_a
             # forced edges form disjoint paths, so the merged one misses a
             # vertex exactly when fewer than |V| - 1 edges are forced
             if self.n_forced < len(lab) - 1:
-                key = (end_a, end_b) if end_a < end_b else (end_b, end_a)
-                chord = self.graph.edge_id.get(key)
+                pair = (end_a, end_b) if end_a < end_b else (end_b, end_a)
+                chord = self.graph.edge_id.get(pair)
                 if chord is not None and self.state[chord] == UNDECIDED:
                     if self.live[end_a] == 2 or self.live[end_b] == 2:
                         # the chord is both required (two-live) and
@@ -216,11 +232,13 @@ class EdgeAssignment:
         self.trail.append(eid)
         self.steps += 1
         # both counts drop before either is checked, so undo is exact
-        live = self.live
+        live, key = self.live, self.key
         live[a] -= 1
         live[b] -= 1
-        if live[a] == 3 or live[b] == 3:  # lower the cursor to the first (a < b)
-            self.lo = min(self.lo, a if live[a] == 3 else b)
+        key[a] -= 1
+        key[b] -= 1
+        if key[a] == 3 or key[b] == 3:  # lower the cursor to the first (a < b)
+            self.lo = min(self.lo, a if key[a] == 3 else b)
         for v in (a, b):
             if live[v] < 2:
                 self.conflict = Contradiction(VERTEX_UNDERFILLED, vertex=lab[v])
@@ -240,15 +258,20 @@ class EdgeAssignment:
         closed the cycle is the one whose ends each keep one forced edge and
         name each other; it changed no chain."""
         trail, state, ends = self.trail, self.state, self.graph.ends
-        forced, live, chain_end = self.forced, self.live, self.chain_end
+        forced, live, chain_end, key = self.forced, self.live, self.chain_end, self.key
+        w = len(key) + 1
         for _ in range(len(trail) - mark):
             x = trail.pop()
             a, b = ends[x]
             if state[x] == DELETED:
                 live[a] += 1
                 live[b] += 1
+                key[a] += 1
+                key[b] += 1
             else:
                 self.n_forced -= 1
+                key[a] += w if forced[a] == 1 else -2 * w
+                key[b] += w if forced[b] == 1 else -2 * w
                 forced[a] -= 1
                 forced[b] -= 1
                 if not forced[a] or chain_end[a] != b:  # not the closing edge
@@ -320,23 +343,27 @@ class HamVerdict(NamedTuple):
 
 
 def _branch_edge(asg: EdgeAssignment) -> int:
-    """Undecided edge at a minimum-live vertex; ties by vertex index, then
-    by the neighbour's index.
+    """Undecided edge at a forced-path end with the fewest live edges, or,
+    when no vertex has exactly one forced edge, at a vertex with the fewest
+    live edges; ties by vertex index, then by the neighbour's index.
 
     Called at a propagation fixpoint without conflict.  There saturation and
-    two-live leave ``live[v] == 2`` exactly where ``forced[v] == 2``, so a
-    vertex has an undecided edge exactly when ``live[v] >= 3``, and the
-    branch vertex is the first index of the smallest such count.  A scan in
-    C finds it from the cursor ``asg.lo``: a deletion that leaves a count of
-    three lowers it to that vertex, a backtrack restores the value saved
-    with its trail mark (the counts are as they were then), and each scan
-    moves it up to the vertex found, so no node rescans from vertex 0.
+    two-live leave every vertex with fewer than two forced edges at least
+    three live edges, so every vertex that is not saturated has an
+    undecided edge, and the branch vertex is the first index of the
+    smallest branch key.  The smallest key a path end can have is three.  A
+    scan in C finds it from the cursor ``asg.lo``: a change that leaves a
+    key of three lowers it to that vertex, a backtrack restores the value
+    saved with its trail mark (the keys are as they were then), and each
+    scan moves it up to the vertex found, or past the last vertex when no
+    key is three, so no node rescans from vertex 0.
     """
-    live = asg.live
+    key = asg.key
     try:
-        v = asg.lo = live.index(3, asg.lo)
-    except ValueError:  # the smallest count of three or more is larger
-        v = live.index(min(filter((3).__le__, live)))
+        v = asg.lo = key.index(3, asg.lo)
+    except ValueError:  # the smallest key is larger
+        v = key.index(min(key))
+        asg.lo = len(key)
     ends, state = asg.graph.ends, asg.state
     best_eid = -1
     best_other = None
@@ -357,10 +384,11 @@ def decide(
 ) -> HamVerdict:
     """Complete branch-and-propagate Hamiltonicity decision.
 
-    Branches on an undecided edge at a minimum-live vertex, trying forced
-    before deleted, with propagation closing each node.  Exhausting the
-    tree proves non-Hamiltonicity; ``Inconclusive`` only on budget
-    exhaustion.
+    Branches on an undecided edge at the end of a forced path with the
+    fewest live edges, so that the path grows, or at a vertex with the
+    fewest live edges when no path has begun; it tries forced before
+    deleted, with propagation closing each node.  Exhausting the tree
+    proves non-Hamiltonicity; ``Inconclusive`` only on budget exhaustion.
 
     The search changes ``seed`` in place (or a fresh assignment) and logs
     every change to its trail; a Hamiltonian verdict leaves it complete.

@@ -21,7 +21,10 @@ it backtracks a little: 4 nodes beyond such a walk at (21,21), 23 at
 edge in each vertex's incidence order.
 
 ``build_ham_cycle(m, n).cycle`` must equal ``reference_build(m, n).cycle``
-on every supported pair; ``steps`` here is the engine's count.
+on every supported pair; ``steps`` here is the engine's count.  The small
+figures (3,3) and (5,7) have no table rows, so their search is the whole
+decision; it branches by ``search_reference.min_live_branch_edge``, the
+rule their completion rows were read from.
 
 ``reference_walk`` is the walk that ``constructive._walk`` replaced: it
 applies the vertex rule at every vertex, one loop pass each, where the
@@ -47,6 +50,8 @@ from otisham.constructive import (
 from otisham.engine import INCONCLUSIVE, Contradiction, EdgeAssignment, SearchBudget, decide, propagate
 from otisham.graph import Graph, is_hamiltonian_cycle
 from otisham.topology import bowtie_links, bowtie_pair, gen_bowtie, otis, otis_label
+
+import search_reference
 
 
 class ReferenceBuild(NamedTuple):
@@ -86,7 +91,12 @@ def reference_build(m: int, n: int, *, budget: SearchBudget | None = None):
         if not is_hamiltonian_cycle(graph, cycle):
             raise AssertionError("constructed cycle failed verification")
     else:
-        verdict = decide(graph, seed=asg, budget=budget)
+        if cls is ParamClass.SMALL_FIGURE:
+            verdict = search_reference.decide(
+                graph, seed=asg, budget=budget, branch_edge=search_reference.min_live_branch_edge
+            )
+        else:
+            verdict = decide(graph, seed=asg, budget=budget)
         if verdict.status == INCONCLUSIVE:
             return FailureReport(INCONCLUSIVE, cls, f"search budget exhausted: {verdict.reason}")
         if not verdict.is_hamiltonian:

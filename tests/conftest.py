@@ -182,7 +182,8 @@ def assert_fixpoint_invariants(asg: EdgeAssignment) -> None:
     fixpoint: every vertex has at most two forced edges, a vertex with two
     has no other live edge, and no undecided edge joins the two ends of a
     forced chain shorter than |V|.  The derived totals ``n_forced`` and
-    ``n_undecided`` must match the states too."""
+    ``n_undecided``, and each vertex's branch key, must match the states
+    too."""
     graph, state = asg.graph, asg.state
     n = graph.n_vertices
     assert asg.conflict is None and not asg.queue
@@ -196,6 +197,8 @@ def assert_fixpoint_invariants(asg: EdgeAssignment) -> None:
     for v in range(n):
         assert forced[v] <= 2, f"{graph.labels[v]} has {forced[v]} forced edges"
         assert forced[v] < 2 or live[v] == 2, f"{graph.labels[v]} is saturated with {live[v]} live edges"
+    # live, plus n + 1 off a path end, plus n + 1 more once saturated
+    assert asg.key == [lv + (n + 1) * (1, 0, 2)[f] for f, lv in zip(forced, live)]
     for start in range(n):
         if forced[start] != 1:
             continue

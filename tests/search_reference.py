@@ -5,6 +5,11 @@ Every search level holds a full ``EdgeAssignment`` copy, and the branch
 vertex is found by a Python scan over all vertices.  ``decide`` must give
 the same verdict, cycle, node count, depth, steps and reason on every input.
 Unlike ``engine.decide``, this search leaves its seed as it was.
+
+``min_live_branch_edge`` is the rule the engine branched by before it
+branched at forced-path ends: the fewest live edges anywhere.  The small
+figures' reference cycles were read from searches under it, so
+``build_reference`` still searches them that way.
 """
 
 from __future__ import annotations
@@ -37,41 +42,48 @@ def _copy(asg: EdgeAssignment) -> EdgeAssignment:
     new.queue = deque(asg.queue)
     new.steps = 0
     new.trail = asg.trail[:]  # n_undecided counts the edges it has not logged
+    new.key = asg.key[:]
     new.lo = 0
     return new
 
 
+def _open_vertices(asg: EdgeAssignment) -> list[int]:
+    """Vertices with an undecided incident edge, in index order."""
+    return [v for v in range(asg.graph.n_vertices) if asg.live[v] > asg.forced[v]]
+
+
+def _lowest_edge(asg: EdgeAssignment, vertices: list[int]) -> int:
+    """Undecided edge at the vertex of ``vertices`` with the fewest live
+    edges; ties by vertex index, then by the neighbour's index."""
+    best_v = min(vertices, key=lambda v: (asg.live[v], v))
+    ends = asg.graph.ends
+    undecided = [eid for eid in asg.graph.incident[best_v] if asg.state[eid] == UNDECIDED]
+    return min(undecided, key=lambda eid: sum(ends[eid]) - best_v)  # the neighbour
+
+
 def _branch_edge(asg: EdgeAssignment) -> int:
-    """Undecided edge at a minimum-live vertex; ties by vertex index, then
-    by the neighbour's index."""
-    best_v = -1
-    best_live = None
-    ends, incident = asg.graph.ends, asg.graph.incident
-    for v in range(asg.graph.n_vertices):
-        if asg.live[v] > asg.forced[v]:  # has an undecided incident edge
-            if best_live is None or asg.live[v] < best_live:
-                best_live = asg.live[v]
-                best_v = v
-    best_eid = -1
-    best_other = None
-    for eid in incident[best_v]:
-        if asg.state[eid] == UNDECIDED:
-            a, b = ends[eid]
-            other = b if a == best_v else a
-            if best_other is None or other < best_other:
-                best_other = other
-                best_eid = eid
-    return best_eid
+    """Undecided edge at a forced-path end (one forced edge) with the
+    fewest live edges or, when there is none, at any vertex with the
+    fewest live edges; ties by vertex index, then by the neighbour's index."""
+    vertices = _open_vertices(asg)
+    return _lowest_edge(asg, [v for v in vertices if asg.forced[v] == 1] or vertices)
+
+
+def min_live_branch_edge(asg: EdgeAssignment) -> int:
+    """Undecided edge at a vertex with the fewest live edges; ties by vertex
+    index, then by the neighbour's index."""
+    return _lowest_edge(asg, _open_vertices(asg))
 
 
 def decide(
     graph: Graph,
     seed: EdgeAssignment | None = None,
     budget: SearchBudget | None = None,
+    branch_edge=_branch_edge,
 ) -> HamVerdict:
     """Complete branch-and-propagate Hamiltonicity decision.
 
-    Branches on an undecided edge at a minimum-live vertex, trying forced
+    Branches on the undecided edge ``branch_edge`` picks, trying forced
     before deleted, with propagation closing each node.  Exhausting the
     tree proves non-Hamiltonicity; ``Inconclusive`` only on budget
     exhaustion.
@@ -105,7 +117,7 @@ def decide(
             if not is_hamiltonian_cycle(graph, cycle):
                 raise AssertionError("engine produced an invalid cycle witness")
             return HamVerdict(HAMILTONIAN, cycle=cycle, nodes=nodes, max_depth=max_depth, steps=steps)
-        eid = _branch_edge(asg)
+        eid = branch_edge(asg)
         deleted_branch = _copy(asg)
         deleted_branch._delete(eid)
         asg._force(eid)

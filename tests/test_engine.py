@@ -277,7 +277,7 @@ def test_invariants_hold_at_every_fixpoint(monkeypatch):
 
 def undo_snapshot(asg: EdgeAssignment) -> tuple:
     return (bytes(asg.state), list(asg.forced), list(asg.live), list(asg.chain_end),
-            asg.n_forced, asg.n_undecided, list(asg.trail))
+            list(asg.key), asg.n_forced, asg.n_undecided, list(asg.trail))
 
 
 def test_undo_restores_the_state_at_its_mark_exactly():
@@ -302,7 +302,7 @@ def test_undo_restores_the_state_at_its_mark_exactly():
                 asg.lo = lo  # decide restores the cursor saved with the mark
                 assert undo_snapshot(asg) == before
                 assert asg.conflict is None and not asg.queue
-                assert 3 not in asg.live[:lo]
+                assert 3 not in asg.key[:lo]
                 undos += 1
                 continue
             if conflict is not None:

@@ -116,7 +116,7 @@ def test_branch_cursor_matches_the_full_scan(monkeypatch, inputs):
     def checked(asg):
         nonlocal calls
         calls += 1
-        assert 3 not in asg.live[: asg.lo]
+        assert 3 not in asg.key[: asg.lo]
         assert asg.n_undecided == asg.state.count(UNDECIDED)
         eid = cursor_scan(asg)
         assert eid == search_reference._branch_edge(asg)
