@@ -111,6 +111,33 @@ def test_decide_refutes_both_even_even_instances():
     assert v46.status == "non-hamiltonian" and v46.nodes > 0
 
 
+def test_path_end_branching_decides_in_few_nodes():
+    # branching at the fewest-live vertex anywhere took 13,248 nodes on
+    # (6,8) and 536,946 on (6,10), was inconclusive on (6,12) after
+    # 2,000,000, and took 13 and 261 nodes to refute (4,4) and (4,6)
+    for m, n, status, nodes in [
+        (6, 8, "hamiltonian", 53),
+        (6, 10, "hamiltonian", 53),
+        (6, 12, "hamiltonian", 287),
+        (4, 4, "non-hamiltonian", 9),
+        (4, 6, "non-hamiltonian", 255),
+    ]:
+        graph = otis(gen_bowtie(m, n))
+        verdict = decide(graph)
+        assert (verdict.status, verdict.nodes) == (status, nodes), (m, n)
+        assert not verdict.is_hamiltonian or is_hamiltonian_cycle(graph, verdict.cycle)
+    # the 3-blade flower (5,5,6): cycles of 5, 5 and 6 vertices through hub
+    # 0, inconclusive after 10^6 nodes under the fewest-live rule
+    edges, nxt = [], 1
+    for blade in (5, 5, 6):
+        ring = [0, *range(nxt, nxt + blade - 1), 0]
+        nxt += blade - 1
+        edges += [(str(a), str(b)) for a, b in zip(ring, ring[1:])]
+    graph = otis(Graph.from_edges(edges))
+    verdict = decide(graph, budget=SearchBudget(max_nodes=10**4))
+    assert verdict.is_hamiltonian and is_hamiltonian_cycle(graph, verdict.cycle)
+
+
 @pytest.mark.parametrize(
     "graph",
     [
