@@ -14,11 +14,12 @@ hand derivation follows.  The fixpoint is order-independent; only which
 witness of an inconsistent state is reported first depends on it.
 
 A complete decider searches over the undecided edges with this propagation
-as the pruning engine, branching at the end of a forced path so that the
-path it has grows (Rubin, J. ACM 21, 1974), and a counting refuter
-certifies non-Hamiltonicity from degree surpluses alone.  The search keeps one assignment, logs the id
-of each edge it changes to a trail, and backtracks by undoing the trail to a
-mark, working out the rest (the trail of MiniSat, Een & Sorensson 2003).
+as the pruning engine, and a counting refuter certifies non-Hamiltonicity
+from degree surpluses alone.  The search branches at the end of a forced
+path, so the path it has grows (Rubin, J. ACM 21, 1974).  It keeps one
+assignment, logs the id of each edge it changes to a trail, and backtracks
+by undoing the trail to a mark, working out the rest (the trail of
+MiniSat, Een & Sorensson 2003).
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ def _open_vertices(asg: EdgeAssignment) -> list[int]:
     return [v for v in range(asg.graph.n_vertices) if asg.live[v] > asg.forced[v]]
 
 
-def _lowest_edge(asg: EdgeAssignment, vertices: list[int]) -> int:
+def _edge_at_fewest_live(asg: EdgeAssignment, vertices: list[int]) -> int:
     """Undecided edge at the vertex of ``vertices`` with the fewest live
     edges; ties by vertex index, then by the neighbour's index."""
     best_v = min(vertices, key=lambda v: (asg.live[v], v))
@@ -66,13 +66,13 @@ def _branch_edge(asg: EdgeAssignment) -> int:
     fewest live edges or, when there is none, at any vertex with the
     fewest live edges; ties by vertex index, then by the neighbour's index."""
     vertices = _open_vertices(asg)
-    return _lowest_edge(asg, [v for v in vertices if asg.forced[v] == 1] or vertices)
+    return _edge_at_fewest_live(asg, [v for v in vertices if asg.forced[v] == 1] or vertices)
 
 
 def min_live_branch_edge(asg: EdgeAssignment) -> int:
     """Undecided edge at a vertex with the fewest live edges; ties by vertex
     index, then by the neighbour's index."""
-    return _lowest_edge(asg, _open_vertices(asg))
+    return _edge_at_fewest_live(asg, _open_vertices(asg))
 
 
 def decide(
