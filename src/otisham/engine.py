@@ -88,6 +88,7 @@ class EdgeAssignment:
         "steps",
         "trail",
         "key",
+        "lo",  # branch cursor: no vertex below it has key 3
     )
 
     def __init__(self, graph: Graph):
@@ -104,6 +105,7 @@ class EdgeAssignment:
         self.queue = deque(self.chain_end)
         self.steps = 0
         self.trail: list[int] = []  # the edge id of each transition, oldest first
+        self.lo = 0
 
     @property
     def n_undecided(self) -> int:
@@ -187,6 +189,8 @@ class EdgeAssignment:
         forced, key, w = self.forced, self.key, len(lab) + 1
         key[a] += 2 * w if forced[a] == 2 else -w
         key[b] += 2 * w if forced[b] == 2 else -w
+        if key[a] == 3 or key[b] == 3:  # lower the cursor to the first (a < b)
+            self.lo = min(self.lo, a if key[a] == 3 else b)
         if not closing:
             self.chain_end[end_a] = end_b
             self.chain_end[end_b] = end_a
@@ -233,6 +237,8 @@ class EdgeAssignment:
         live[b] -= 1
         key[a] -= 1
         key[b] -= 1
+        if key[a] == 3 or key[b] == 3:  # lower the cursor to the first (a < b)
+            self.lo = min(self.lo, a if key[a] == 3 else b)
         for v in (a, b):
             if live[v] < 2:
                 self.conflict = Contradiction(VERTEX_UNDERFILLED, vertex=lab[v])
@@ -242,7 +248,7 @@ class EdgeAssignment:
     def _undo(self, mark: int) -> None:
         """Take back every trail entry past ``mark``, newest first, and drop
         any conflict and pending work.  Each entry took one edge out of
-        undecided.
+        undecided.  ``lo`` is the caller's to restore: it is saved with the mark.
 
         A forced edge's chain ends are worked out, not logged.  Once its
         forced counts are lowered, an endpoint with none was a one-vertex
@@ -341,14 +347,23 @@ def _branch_edge(asg: EdgeAssignment) -> int:
     when no vertex has exactly one forced edge, at a vertex with the fewest
     live edges; ties by vertex index, then by the neighbour's index.
 
-    Called at a propagation fixpoint without conflict.  There every vertex
-    with fewer than two forced edges has at least three live edges: two-live
-    has forced a vertex left with two, and one left with fewer is a conflict.
-    So no key is below three, every vertex that is not saturated has an
-    undecided edge, and the branch vertex is the first smallest key.
+    Called at a propagation fixpoint without conflict.  There saturation and
+    two-live leave every vertex with fewer than two forced edges at least
+    three live edges, so every vertex that is not saturated has an
+    undecided edge, and the branch vertex is the first index of the
+    smallest branch key.  The smallest key a path end can have is three.  A
+    scan in C finds it from the cursor ``asg.lo``: a change that leaves a
+    key of three lowers it to that vertex, a backtrack restores the value
+    saved with its trail mark (the keys are as they were then), and each
+    scan moves it up to the vertex found, or past the last vertex when no
+    key is three, so no node rescans from vertex 0.
     """
     key = asg.key
-    v = key.index(min(key))
+    try:
+        v = asg.lo = key.index(3, asg.lo)
+    except ValueError:  # the smallest key is larger
+        v = key.index(min(key))
+        asg.lo = len(key)
     ends, state = asg.graph.ends, asg.state
     best_eid = -1
     best_other = None
@@ -377,9 +392,9 @@ def decide(
 
     The search changes ``seed`` in place (or a fresh assignment) and logs
     every change to its trail; a Hamiltonian verdict leaves it complete.
-    Each open deleted branch is a ``(mark, edge, depth)`` tuple on the
-    stack; taking it undoes the trail to the mark and deletes the edge.
-    Search memory is O(V + E + depth).
+    Each open deleted branch is a ``(mark, cursor, edge, depth)`` tuple on
+    the stack; taking it undoes the trail to the mark, restores the branch
+    cursor and deletes the edge.  Search memory is O(V + E + depth).
     """
     budget = budget or SearchBudget()
     if seed is not None and seed.graph is not graph:
@@ -392,7 +407,7 @@ def decide(
     nodes = 0
     max_depth = 0
     depth = 0
-    stack: list[tuple[int, int, int]] = []
+    stack: list[tuple[int, int, int, int]] = []
     # (_force or _delete, edge id) that opens the next node; applied after
     # the budget checks, so a node the budget cuts off adds no steps
     enter = None
@@ -414,12 +429,12 @@ def decide(
                 return HamVerdict(HAMILTONIAN, cycle=cycle, nodes=nodes, max_depth=max_depth, steps=asg.steps - steps0)
             eid = _branch_edge(asg)
             depth += 1
-            stack.append((len(asg.trail), eid, depth))
+            stack.append((len(asg.trail), asg.lo, eid, depth))
             enter = (asg._force, eid)
             continue
         if not stack:
             return HamVerdict(NON_HAMILTONIAN, nodes=nodes, max_depth=max_depth, steps=asg.steps - steps0)
-        mark, eid, depth = stack.pop()
+        mark, asg.lo, eid, depth = stack.pop()
         asg._undo(mark)
         enter = (asg._delete, eid)
 

@@ -43,6 +43,7 @@ def _copy(asg: EdgeAssignment) -> EdgeAssignment:
     new.steps = 0
     new.trail = asg.trail[:]  # n_undecided counts the edges it has not logged
     new.key = asg.key[:]
+    new.lo = 0
     return new
 
 

@@ -310,8 +310,9 @@ def undo_snapshot(asg: EdgeAssignment) -> tuple:
 def test_undo_restores_the_state_at_its_mark_exactly():
     # random graphs of up to 12 vertices under random forces and deletes,
     # each batch run to a fixpoint or a conflict; marks nest as the search's
-    # do, each taken at a conflict-free fixpoint.  The trail holds edge ids
-    # only, so undo must work out every chain end it restores from the counts.
+    # do, each taken at a conflict-free fixpoint after a branch scan moved
+    # the cursor.  The trail holds edge ids only, so undo must work out every
+    # chain end it restores from the counts.
     rng = random.Random(20261019)
     undos = forces = 0
     for _ in range(3000):
@@ -323,16 +324,20 @@ def test_undo_restores_the_state_at_its_mark_exactly():
         for _ in range(10):
             conflict = asg.run()
             if marks and (conflict is not None or rng.random() < 0.3):
-                mark, before = marks.pop()
+                mark, lo, before = marks.pop()
                 asg._undo(mark)
+                asg.lo = lo  # decide restores the cursor saved with the mark
                 assert undo_snapshot(asg) == before
                 assert asg.conflict is None and not asg.queue
+                assert 3 not in asg.key[:lo]
                 undos += 1
                 continue
             if conflict is not None:
                 break
             if rng.random() < 0.5:
-                marks.append((len(asg.trail), undo_snapshot(asg)))
+                if max(asg.live) >= 3:  # a vertex to branch on
+                    engine._branch_edge(asg)
+                marks.append((len(asg.trail), asg.lo, undo_snapshot(asg)))
             for _ in range(rng.randint(1, 4)):
                 eid = rng.randrange(g.n_edges)
                 if rng.random() < 0.5:
