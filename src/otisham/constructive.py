@@ -447,9 +447,11 @@ class FailureReport(NamedTuple):
 UNSUPPORTED_CLASS = "unsupported-class"
 
 
-def _walk(m: int, n: int, cls: ParamClass) -> list[int]:
-    """The cycle that the key and completion rows leave, as OTIS(BF(m, n))
-    vertex indices (g:u has index (g-1)*N + u-1 over N base vertices).
+def _walk(m: int, n: int, cls: ParamClass) -> list[tuple[int, int]]:
+    """The cycle that the key and completion rows leave, as maximal
+    segments of OTIS(BF(m, n)) vertex indices (g:u has index (g-1)*N + u-1
+    over N base vertices): (first, last) pairs, each a run of +1 or -1
+    steps inside one cluster.
 
     A vertex keeps the base edges that no row names in its cluster, and its
     transpose edge when only one is left; that must make two cycle edges,
@@ -462,9 +464,10 @@ def _walk(m: int, n: int, cls: ParamClass) -> list[int]:
     Only the stops take that rule one vertex at a time: 1:1, each
     cluster's cut vertex c and every vertex that a row names.  Any other
     processor has two bowtie edges and keeps both, so between two stops
-    the walk runs through consecutive indices of one cluster and takes
-    them in one ``extend``.  Such a run ends at a stop, or at processor 1
-    or i, whose next step is to c."""
+    the walk runs through consecutive indices of one cluster in one step.
+    Such a run ends at a stop, or at processor 1 or i, whose next step is
+    to c.  An edge between consecutive indices lies in one cluster, so a
+    stop or run reached by +1 or -1 extends the open segment."""
     size = m + n - 1
     per = size + 1  # bowtie edges, so row slots per cluster
     cut = m - 1  # the cut vertex c's processor index
@@ -487,8 +490,7 @@ def _walk(m: int, n: int, cls: ParamClass) -> list[int]:
         g, u = divmod(k, size)
         return KeyEdgeError(f"{cls.value} tables: {g + 1}:{u + 1} {what}")
 
-    order: list[int] = []
-    append, extend = order.append, order.extend
+    bounds: list[int] = []  # each segment's first and last index, in walk order
     first = prev = -1
     cur = 0
     left = size * size  # vertices the walk may still take
@@ -496,8 +498,6 @@ def _walk(m: int, n: int, cls: ParamClass) -> list[int]:
         g, u = divmod(cur, size)
         at = cur - u
         if stop[cur]:
-            append(cur)
-            left -= 1
             row = g * per
             ends = [at + w for e, w in incident[u] if not unused[row + e]]
             if len(ends) == 1 and g != u:
@@ -508,24 +508,26 @@ def _walk(m: int, n: int, cls: ParamClass) -> list[int]:
                 if prev >= 0:
                     raise fault(cur, "keeps no edge to the vertex before it")
                 first = ends[1]  # 1:1 is left by ends[0], so the walk closes by ends[1]
-            prev, cur = cur, ends[ends[0] == prev]
-            continue
-        if prev == at + (u - 1 if u else cut):  # from u-1, or from c to processor 1: run up
+            last, after = cur, ends[ends[0] == prev]
+        elif prev == at + (u - 1 if u else cut):  # from u-1, or from c to processor 1: run up
             j = stop.find(1, cur, at + size)
-            run = range(cur, j if j >= 0 else at + size)
+            last, after = (j - 1, j) if j >= 0 else (at + size - 1, at + cut)
         elif prev == at + (u + 1 if u < size - 1 else cut):  # from u+1, or from c to i: run down
             j = stop.rfind(1, at, cur)
-            run = range(cur, j if j >= 0 else at - 1, -1)
+            last, after = (j + 1, j) if j >= 0 else (at, at + cut)
         else:
             raise fault(cur, "keeps no edge to the vertex before it")
-        if len(run) > left:  # V vertices taken inside a run, so not back at 1:1, a stop
-            raise fault(run[left - 1], "does not close the walk at 1:1")
-        extend(run)
-        left -= len(run)
-        prev, cur = run[-1], j if j >= 0 else at + cut
+        left -= abs(last - cur) + 1
+        if left < 0:  # V vertices taken inside a run, so not back at 1:1, a stop
+            raise fault(last + left if last > cur else last - left, "does not close the walk at 1:1")
+        if bounds and (cur - prev == 1 or prev - cur == 1):
+            bounds[-1] = last
+        else:
+            bounds += (cur, last)
+        prev, cur = last, after
     if cur != 0 or prev != first:
         raise fault(prev, "does not close the walk at 1:1")
-    return order
+    return list(zip(bounds[::2], bounds[1::2]))
 
 
 def build_ham_cycle(m: int, n: int):
@@ -546,9 +548,12 @@ def build_ham_cycle(m: int, n: int):
             detail="no table exists for even-even pairs; "
             "only (4,4) and (4,6) are proven non-Hamiltonian",
         )
-    order = _walk(m, n, cls)
-    reason = otis_bowtie_violation(m, n, order)
+    segments = _walk(m, n, cls)
+    reason = otis_bowtie_violation(m, n, segments)
     if reason is not None:
         raise KeyEdgeError(f"{cls.value} tables: the walk is not a Hamiltonian cycle: {reason}")
     labels = otis_labels([str(v) for v in range(1, m + n)])
-    return BuildResult(cycle=tuple(map(labels.__getitem__, order)), param_class=cls, steps=len(order))
+    cycle: list[str] = []
+    for first, last in segments:
+        cycle += labels[first:last + 1] if first <= last else labels[last:first + 1][::-1]
+    return BuildResult(cycle=tuple(cycle), param_class=cls, steps=len(cycle))

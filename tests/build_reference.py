@@ -27,10 +27,11 @@ decision; it branches by ``search_reference.min_live_branch_edge``, the
 rule their completion rows were read from.
 
 ``reference_walk`` is the walk that ``constructive._walk`` replaced: it
-applies the vertex rule at every vertex, one loop pass each, where the
-package's walk takes the runs between two stops in one ``extend``.  The
-two must return the same list, and fault at the same vertex with the same
-message, on every table.
+applies the vertex rule at every vertex, one loop pass each, and returns
+the flat order, where the package's walk takes the runs between two stops
+in one step and returns maximal segments.  Split into its maximal runs,
+this order must be the package's segments, and the two must fault at the
+same vertex with the same message, on every table.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ had as methods.  The package reads the index arrays; only the tests and
 their references read a graph by label this way.
 
 ``otis_bowtie_violation`` is the arithmetic check of an OTIS(BF(m,n))
-cycle as the package had it before its permutation and unit-step fast
-test: it marks every index in a ``bytearray`` and works every step out by
-``divmod``.  The package's must give the same reason for every order.
+cycle as a flat order of vertex indices: it marks every index in a
+``bytearray`` and works every step out by ``divmod``.  The package's
+checks segments; on ``segments_of(order, size)``, and on any segment list
+against its ``expand``-ed order, it must give the same reason.
 
 ``LabelGraph`` builds the arrays of a ``Graph`` by label: ``add_vertex``
 checks every label it is given and ``add_edge`` looks both ends up in its
@@ -99,6 +100,27 @@ def otis_bowtie_violation(m: int, n: int, order) -> str | None:
         if not (ua * size + ub in base if ga == gb else ga == ub and gb == ua):
             return f"non-adjacent-step:{ga + 1}:{ua + 1}-{gb + 1}:{ub + 1}"
     return None
+
+
+def segments_of(order, size: int) -> list[tuple[int, int]]:
+    """``order`` as (first, last) segments, split at every step that is not
+    +1 or -1 in one direction inside one cluster of ``size`` indices."""
+    segments: list[tuple[int, int]] = []
+    for v in order:
+        if segments:
+            first, last = segments[-1]
+            step = v - last
+            if step in (1, -1) and v // size == last // size and (first == last or (last - first) * step > 0):
+                segments[-1] = (first, v)
+                continue
+        segments.append((v, v))
+    return segments
+
+
+def expand(segments) -> list[int]:
+    """The vertex indices that (first, last) segments stand for, in order."""
+    return [v for first, last in segments
+            for v in (range(first, last + 1) if first <= last else range(first, last - 1, -1))]
 
 
 class LabelGraph:

@@ -30,6 +30,7 @@ from conftest import (
     use_table,
 )
 from build_reference import reference_walk
+from graph_reference import segments_of
 from test_bench_spans import load_spans
 
 DATA = Path(__file__).parent / "data"
@@ -264,11 +265,33 @@ RUN_WALK_PAIRS = [(81, 80), (81, 81), (161, 160), (3, 160), (3, 161), (161, 163)
 
 
 def test_run_walk_matches_the_vertex_walk():
+    # the walk's segments are the vertex walk's order split at every step
+    # that is not +1 or -1 in one direction inside one cluster
     pairs = sweep_parameter_pairs(61) + RUN_WALK_PAIRS
     assert len(pairs) == 637
     differ = [(m, n) for m, n in pairs
-              if constructive._walk(m, n, classify(m, n)) != reference_walk(m, n, classify(m, n))]
+              if constructive._walk(m, n, classify(m, n))
+              != segments_of(reference_walk(m, n, classify(m, n)), m + n - 1)]
     assert differ == []
+
+
+@pytest.mark.parametrize("m,n,count", [
+    (501, 500, 5_980),   # odd-even-general, N = 1000
+    (501, 503, 6_991),   # odd-odd-general, N = 1003
+    (3, 998, 2_997),     # odd-even-3, N = 1000
+    (3, 999, 8_961),     # odd-odd-3n, N = 1001
+])
+def test_walk_segment_counts(m, n, count):
+    # outside odd-odd-equal a cycle of V = N^2 vertices, N = m+n-1, is 3N
+    # to 9N segments
+    assert len(constructive._walk(m, n, classify(m, n))) == count
+
+
+@pytest.mark.parametrize("m,n,count", [(31, 30, 340), (21, 21, 485)])
+def test_walk_segments_are_the_maximal_runs_of_the_vertex_walk(m, n, count):
+    # the two largest benchmark builds: odd-even-general and odd-odd-equal
+    segments = constructive._walk(m, n, classify(m, n))
+    assert len(segments) == len(segments_of(reference_walk(m, n, classify(m, n)), m + n - 1)) == count
 
 
 def walk_outcomes(m: int, n: int, trials: int) -> list:

@@ -4,8 +4,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from otisham import constructive
 from otisham.cli import sweep_pairs
-from otisham.constructive import build_ham_cycle
+from otisham.constructive import build_ham_cycle, classify
 from otisham.graph import Graph, GraphError, cycle_violation, graph_hash, is_connected
 from otisham.topology import (
     MAX_EDGES,
@@ -22,7 +23,7 @@ from otisham.topology import (
 
 import graph_reference
 from conftest import TABLE_CLASS_PAIRS, random_connected_graph
-from graph_reference import degree, neighbors
+from graph_reference import degree, expand, neighbors, segments_of
 
 
 def test_bowtie_small_shapes():
@@ -243,7 +244,7 @@ def test_arithmetic_check_agrees_with_cycle_violation(m, n):
     size = m + n - 1
     order = [graph.index[v] for v in cycle]
     assert [(int(v.split(":")[0]) - 1) * size + int(v.split(":")[1]) - 1 for v in cycle] == order
-    assert otis_bowtie_violation(m, n, order) is None is cycle_violation(graph, cycle)
+    assert otis_bowtie_violation(m, n, segments_of(order, size)) is None is cycle_violation(graph, cycle)
     labels = graph.labels + ["0:0"]  # index size*size stands for a label the graph lacks
     damaged = _damaged(order, graph)
     closing = damaged["bad closing step"]
@@ -253,7 +254,7 @@ def test_arithmetic_check_agrees_with_cycle_violation(m, n):
     for kind, bad in damaged.items():
         want = cycle_violation(graph, [labels[k] for k in bad])
         assert want is not None, kind
-        assert otis_bowtie_violation(m, n, bad) == want, kind
+        assert otis_bowtie_violation(m, n, segments_of(bad, size)) == want, kind
 
 
 def _fuzzed(order: list, size: int, rng: random.Random) -> list[list]:
@@ -310,6 +311,68 @@ def test_arithmetic_check_agrees_with_the_element_scan(m, n):
     for _ in range(60):
         for bad in _fuzzed(order, size, rng):
             want = graph_reference.otis_bowtie_violation(m, n, bad)
-            assert otis_bowtie_violation(m, n, bad) == want, (bad, want)
+            assert otis_bowtie_violation(m, n, segments_of(bad, size)) == want, (bad, want)
             reasons[want.split(":")[0] if want else want] += 1
     assert set(reasons) == {None, "length-mismatch", "duplicate-vertex", "unknown-vertex", "non-adjacent-step"}
+
+
+def _damaged_segments(segments: list, size: int, rng: random.Random) -> dict[str, list]:
+    """Random damage of each kind done to a cycle given as ``segments`` over
+    ``size`` base vertices, keyed by kind."""
+    count = len(segments)
+    k = rng.randrange(count)
+    first, last = segments[k]
+    moved = segments[:]
+    moved[k] = (first + rng.choice((-1, 1)), last) if rng.randrange(2) else (first, last + rng.choice((-1, 1)))
+    swapped = segments[:]
+    swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]  # k = 0 swaps the closing pair
+    shifted = segments[:]
+    d = rng.choice((-1, 1))
+    shifted[k] = (first + d, last + d)  # same length: a repeat, or an index out of range
+    flipped = segments[:]
+    flipped[k] = (last, first)
+    repeated = segments[:]
+    repeated.insert(rng.randrange(count + 1), segments[k])
+    # g*N taken out of its segment and put on the end of g*N-1's, so that
+    # one segment runs from cluster g to cluster g+1
+    g = rng.randrange(1, size)
+    order = expand(segments)
+    order.remove(g * size)
+    order.insert(order.index(g * size - 1) + 1, g * size)
+    crossing = segments_of(order, size * size)  # runs split by direction alone
+    assert any(low // size != high // size for low, high in crossing)
+    return {
+        "end moved": moved,
+        "neighbours swapped": swapped,
+        "segment shifted": shifted,
+        "segment reversed": flipped,
+        "segment dropped": segments[:k] + segments[k + 1:],
+        "segment repeated": repeated,
+        "cluster crossed": crossing,
+        "rotated": segments[k:] + segments[:k],
+        "reversed": [(b, a) for a, b in reversed(segments)],
+    }
+
+
+@pytest.mark.parametrize("m,n", TABLE_CLASS_PAIRS + [(3, 3), (5, 7)])
+def test_segment_check_agrees_with_the_element_scan_on_damaged_segments(m, n):
+    # the reference checks the order the damaged segments stand for; a
+    # rotation or the reversed list is the same cycle, and every other
+    # damage that changes the order is rejected
+    size = m + n - 1
+    segments = constructive._walk(m, n, classify(m, n))
+    cycle = expand(segments)
+    assert otis_bowtie_violation(m, n, segments) is None
+    rng = random.Random(size)
+    reasons = Counter()
+    for _ in range(60):
+        for kind, bad in _damaged_segments(segments, size, rng).items():
+            order = expand(bad)
+            want = graph_reference.otis_bowtie_violation(m, n, order)
+            assert otis_bowtie_violation(m, n, bad) == want, (kind, bad, want)
+            if kind in ("rotated", "reversed"):
+                assert want is None, kind
+            elif order != cycle:
+                assert want is not None, (kind, bad)
+            reasons[want.split(":")[0] if want else want] += 1
+    assert {None, "length-mismatch", "duplicate-vertex", "non-adjacent-step"} <= set(reasons)
