@@ -431,7 +431,7 @@ def build_parser() -> _Parser:
     p = add("decide", cmd_decide, help="complete Hamiltonicity decision")
     p.add_argument("--in", required=True)
     add_budget(p)
-    p.add_argument("--seed", help="JSON file with forced/deleted label pairs")
+    p.add_argument("--seed", help="JSON file of forced/deleted label pairs; decides if a Hamiltonian cycle extends them")
 
     p = add("refute-count", cmd_refute_count, help="counting non-Hamiltonicity certificate")
     p.add_argument("--in", required=True)

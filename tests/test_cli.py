@@ -85,6 +85,19 @@ def test_decide_with_seed_file(tmp_path):
     assert json.loads(proc.stdout)["verdict"] == "non-hamiltonian"
 
 
+def test_decide_with_a_seed_that_forces_and_deletes_one_edge(tmp_path):
+    # the verdict says whether a Hamiltonian cycle extends the seed, and
+    # none extends one that forces and deletes the same edge, even on a
+    # triangle, which is Hamiltonian without it
+    el = tmp_path / "c3.el"
+    el.write_text(run("gen", "cycle", "--k", "3").stdout)
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"forced": [["1", "2"]], "deleted": [["1", "2"]]}))
+    seeded = json.loads(run("decide", "--in", str(el), "--seed", str(seed), "--json").stdout)
+    assert (seeded["verdict"], seeded["nodes"]) == ("non-hamiltonian", 1)
+    assert json.loads(run("decide", "--in", str(el), "--json").stdout)["verdict"] == "hamiltonian"
+
+
 def test_refute_count_certificate(tmp_path):
     base = tmp_path / "b44.el"
     base.write_text(run("gen", "bowtie", "--m", "4", "--n", "4").stdout)

@@ -333,12 +333,13 @@ def _damaged_segments(segments: list, size: int, rng: random.Random) -> dict[str
     flipped[k] = (last, first)
     repeated = segments[:]
     repeated.insert(rng.randrange(count + 1), segments[k])
-    # g*N taken out of its segment and put on the end of g*N-1's, so that
-    # one segment runs from cluster g to cluster g+1
+    # g*N taken out and put just after g*N-1, or g*N-1 just after g*N, so
+    # that one segment runs from cluster g into cluster g+1 or back
     g = rng.randrange(1, size)
+    a, b = rng.choice([(g * size - 1, g * size), (g * size, g * size - 1)])
     order = expand(segments)
-    order.remove(g * size)
-    order.insert(order.index(g * size - 1) + 1, g * size)
+    order.remove(b)
+    order.insert(order.index(a) + 1, b)
     crossing = segments_of(order, size * size)  # runs split by direction alone
     assert any(low // size != high // size for low, high in crossing)
     return {
