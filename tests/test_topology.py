@@ -351,7 +351,7 @@ def _damaged_segments(segments: list, size: int, rng: random.Random) -> dict[str
         "segment repeated": repeated,
         "cluster crossed": crossing,
         "rotated": segments[k:] + segments[:k],
-        "reversed": [(b, a) for a, b in reversed(segments)],
+        "reversed": [(end, start) for start, end in reversed(segments)],
     }
 
 
