@@ -246,10 +246,14 @@ def cmd_ist(args) -> int:
             return EXIT_MISMATCH
     pair = build_ists(cert["order"], args.root)
     report = independence_report(pair, graph)
+    t1, t2 = pair.parent1, pair.parent2
+    if args.json:  # both trees have the same keys: sort them once for json's sort_keys
+        keys = sorted(t1)
+        t1, t2 = {v: t1[v] for v in keys}, {v: t2[v] for v in keys}
     payload = {
         "root": pair.root,
-        "t1": pair.parent1,
-        "t2": pair.parent2,
+        "t1": t1,
+        "t2": t2,
         "independent": report.vertex_disjoint,
         "edge_disjoint": report.edge_disjoint,
     }

@@ -115,20 +115,26 @@ class Graph:
         return f"Graph(|V|={self.n_vertices}, |E|={self.n_edges})"
 
 
+_HASH_BATCH = 4096  # edges per sha256 update in graph_hash
+
+
 def graph_hash(graph: Graph) -> str:
     """Stable content hash over the sorted vertex and edge sets: "v" and each
     label, then "e", each edge's lower label, a space and its higher label.
 
-    The edges go in one ``update`` each, so no text of them all is built,
-    but the sorted list holds a label pair per edge at once.  ``ham-build``
-    works the same digest out from (m, n) with no such list
-    (``topology.otis_bowtie_hash``); ``verify``, ``ist`` and ``decide`` hash
-    the graph they read here."""
+    The label pairs are sorted as pairs, not as their text, and go to the
+    sha256 in joined batches of ``_HASH_BATCH`` edges, one ``update`` each.
+    So no text of all the edges is built: besides the vertex text, the
+    memory held is the sorted list of one label pair per edge, plus one
+    batch's text at a time.  ``ham-build`` works the same digest out from
+    (m, n) with no such list (``topology.otis_bowtie_hash``); ``verify``,
+    ``ist`` and ``decide`` hash the graph they read here."""
     lab = graph.labels
     h = hashlib.sha256("".join(["v" + v for v in sorted(lab)]).encode())
-    edges = ((lab[a], lab[b]) for a, b in graph.ends)
-    for u, v in sorted((u, v) if u <= v else (v, u) for u, v in edges):
-        h.update(f"e{u} {v}".encode())
+    pairs = [(u, v) if (u := lab[a]) <= (v := lab[b]) else (v, u) for a, b in graph.ends]
+    pairs.sort()
+    for k in range(0, len(pairs), _HASH_BATCH):
+        h.update("".join([f"e{u} {v}" for u, v in pairs[k:k + _HASH_BATCH]]).encode())
     return h.hexdigest()
 
 

@@ -22,23 +22,30 @@ def write_edge_list(graph: Graph) -> str:
 
 
 def read_edge_list(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("V "):
+    """The graph of a ``write_edge_list`` text.  Blank lines are skipped and
+    only the header is stripped; a label not yet in ``index`` is numbered
+    by ``add_vertex``."""
+    lines = iter(text.splitlines())
+    header = next((ln for ln in map(str.strip, lines) if ln), "")
+    if not header.startswith("V "):
         raise GraphError("edge list must start with a 'V <count>' line")
     try:
-        _, count_text = lines[0].split()
+        _, count_text = header.split()
         count = int(count_text)
     except ValueError:
-        raise GraphError(f"bad vertex count line: {lines[0]!r}") from None
+        raise GraphError(f"bad vertex count line: {header!r}") from None
     g = Graph()
-    for ln in lines[1:]:
+    index, add_vertex, link = g.index.get, g.add_vertex, g.link
+    for ln in lines:  # the lines after the header
         parts = ln.split()
-        if len(parts) == 1:
-            g.add_vertex(parts[0])
-        elif len(parts) == 2:
-            g.link(g.add_vertex(parts[0]), g.add_vertex(parts[1]))
-        else:
-            raise GraphError(f"bad edge line: {ln!r}")
+        if len(parts) == 2:
+            u, v = parts
+            a, b = index(u), index(v)
+            link(add_vertex(u) if a is None else a, add_vertex(v) if b is None else b)
+        elif len(parts) == 1:
+            add_vertex(parts[0])
+        elif parts:
+            raise GraphError(f"bad edge line: {ln.strip()!r}")
     if g.n_vertices != count:
         raise GraphError(f"declared {count} vertices, found {g.n_vertices}")
     return g

@@ -37,11 +37,11 @@ def build_ists(cycle, root: str) -> TreePair:
         raise GraphError(f"root {root!r} does not appear in the cycle")
     k = order.index(root)
     order = order[k:] + order[:k]  # root first
-    n = len(order)
+    children = order[1:]
     # tree 1: walk against the cycle direction (root adopts its predecessor)
-    parent1 = {order[j]: order[(j + 1) % n] for j in range(1, n)}
+    parent1 = dict(zip(children, order[2:] + order[:1]))
     # tree 2: walk along the cycle direction
-    parent2 = {order[j]: order[j - 1] for j in range(1, n)}
+    parent2 = dict(zip(children, order))
     return TreePair(root, parent1, parent2)
 
 
@@ -60,14 +60,19 @@ def independence_report(pair: TreePair, graph: Graph | None = None) -> Independe
 
     Given ``graph``, every tree edge must be a graph edge and every graph
     vertex must lie on the path; without it, the vertices are the trees'
-    own.  The first violation is named in the order the checks run: a tree
-    edge not in the graph (tree 1 first), a root with a parent, a branch in
-    tree 1, a vertex off the path, then a step of tree 2 off the path."""
+    own.  Tree edges are looked up by vertex index: both labels in
+    ``graph.index``, then the ordered index pair in ``graph.edge_id``, so a
+    label the graph lacks fails as a missing edge.  The first violation is
+    named in the order the checks run: a tree edge not in the graph (tree 1
+    first), a root with a parent, a branch in tree 1, a vertex off the
+    path, then a step of tree 2 off the path."""
     root, parent1, parent2 = pair
     if graph is not None:
+        index, edge_id = graph.index.get, graph.edge_id
         for parent in (parent1, parent2):
             for child, p in parent.items():
-                if not graph.has_edge(child, p):
+                a, b = index(child), index(p)
+                if a is None or b is None or ((a, b) if a < b else (b, a)) not in edge_id:
                     return IndependenceReport(False, False, f"tree edge {child}-{p} not in graph")
     if root in parent1 or root in parent2:
         return IndependenceReport(False, False, f"root {root} has a parent")
@@ -82,9 +87,10 @@ def independence_report(pair: TreePair, graph: Graph | None = None) -> Independe
     while path[-1] in below:
         path.append(below[path[-1]])
     on_path = set(path)
-    for v in graph.labels if graph is not None else [*parent1, *parent2]:
-        if v not in on_path:
-            return IndependenceReport(False, False, f"no root path for {v}")
+    vertices = graph.labels if graph is not None else [*parent1, *parent2]
+    if not on_path.issuperset(vertices):
+        missing = next(v for v in vertices if v not in on_path)
+        return IndependenceReport(False, False, f"no root path for {missing}")
     for v, up in zip(path[1:], [*path[2:], root]):
         if parent2.get(v) != up:
             return IndependenceReport(False, False, f"tree 2 leaves the path at {v}")

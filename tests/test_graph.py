@@ -233,14 +233,20 @@ def test_graph_hash_insensitive_to_insertion_order():
 
 
 def reference_graphs() -> list[Graph]:
-    """200 random graphs, every golden base and its OTIS network, and one
-    graph whose labels are prefixes of one another, with and without a colon."""
+    """200 random graphs, every golden base and its OTIS network, one graph
+    whose labels are prefixes of one another, with and without a colon, one
+    whose labels hold characters below the space, so that label pairs and
+    their "u v" texts sort apart, one with non-ASCII labels, and
+    OTIS(BF(31,30)), whose 5,430 edges fill more than one hash batch."""
     rng = random.Random(20260808)
     graphs = [random_graph(rng) for _ in range(200)]
     for name in sorted(GOLDEN_BASES):
         base = GOLDEN_BASES[name]()
         graphs += [base, otis(base)]
     graphs.append(Graph.from_edges([("a", "ab"), ("ab", "a:b"), ("a:b", "a")], vertices=["b"]))
+    graphs.append(Graph.from_edges([("a", "x"), ("a\x01", "b"), ("a\x07b", "a"), ("b", "a\x07b"), ("x", "a\x01")]))
+    graphs.append(Graph.from_edges([("é", "e"), ("λ:1", "中"), ("中", "é"), ("e", "λ:1"), ("ü", "é")], vertices=["Ω"]))
+    graphs.append(otis(gen_bowtie(31, 30)))
     return graphs
 
 

@@ -171,6 +171,23 @@ def root_with_parent(rng):
     return with_parents(pair, *parents), graph
 
 
+def vertex_outside_graph(rng):
+    # a valid pair in which a tree names a label the graph lacks in place of
+    # one of its vertices, as a child, as a parent, or each in one tree
+    pair, graph, _ = cycle_pair(rng)
+    parents = [dict(pair.parent1), dict(pair.parent2)]
+    mode = rng.randrange(3)
+    child_tree, parent_tree = rng.sample(parents, 2) if mode == 2 else [rng.choice(parents)] * 2
+    if mode != 1:  # an unknown child, at the place of the child it renames
+        x = rng.choice(sorted(child_tree))
+        renamed = {("zz" if c == x else c): p for c, p in child_tree.items()}
+        child_tree.clear()
+        child_tree.update(renamed)
+    if mode != 0:  # an unknown parent
+        parent_tree[rng.choice(sorted(set(parent_tree) - {"zz"}))] = "zz"
+    return with_parents(pair, *parents), graph
+
+
 def root_outside_graph(rng):
     pair, graph, _ = cycle_pair(rng)
     return TreePair("zz", pair.parent1, pair.parent2), graph
@@ -182,6 +199,7 @@ KINDS = {
     "shared edge only": shared_edge_only,
     "broken or looping chain": broken_chain,
     "tree edge not in graph": missing_edge,
+    "tree vertex outside the graph": vertex_outside_graph,
     "root with a parent": root_with_parent,
     "root outside the graph": root_outside_graph,
 }
@@ -200,6 +218,7 @@ EXPECTED = {
     "shared edge only": "vertex=True edge=False",
     "broken or looping chain": "no",
     "tree edge not in graph": "tree",
+    "tree vertex outside the graph": "tree",
     "root with a parent": "root",
     "root outside the graph": "no",
 }
@@ -225,6 +244,8 @@ def test_random_tree_pairs_match(kind):
             assert got == want == independence_report(pair), (pair, graph.edges())
         else:
             assert not got.vertex_disjoint and got.first_violation, (pair, graph.edges(), got)
+        if kind == "tree vertex outside the graph":  # named as the walker names it
+            assert got == want, (pair, graph.edges())
         alone = independence_report(pair)
         if alone.vertex_disjoint:  # then the trees' own edges bear it out
             assert alone == ist_reference.independence_report(pair, trees_graph(pair)), pair
