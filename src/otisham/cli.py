@@ -112,10 +112,6 @@ def _write_graph(graph: Graph, out: str | None, dot: bool) -> None:
         sys.stdout.write(text)
 
 
-def _budget(args) -> SearchBudget:
-    return SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
-
-
 # family -> (generator, the options it takes, in call order)
 _GEN = {
     "bowtie": (gen_bowtie, ("m", "n")),
@@ -154,7 +150,7 @@ def cmd_decide(args) -> int:
             seed.seed_force(u, v)
         for u, v in deleted:
             seed.seed_delete(u, v)
-    verdict = decide(graph, seed=seed, budget=_budget(args))
+    verdict = decide(graph, seed=seed, budget=SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs))
     payload = {
         "verdict": verdict.status,
         "witness": list(verdict.cycle) if verdict.cycle else None,
@@ -402,23 +398,14 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, takes_json=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if takes_json:  # only commands that print a payload take --json
+            p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
-    def add_budget(p, scope=""):
-        p.add_argument("--budget-nodes", type=_positive(int), dest="budget_nodes",
-                       default=SearchBudget().max_nodes, help="search node budget" + scope)
-        p.add_argument("--budget-secs", type=_positive(float), dest="budget_secs",
-                       default=SearchBudget().max_seconds, help="search time budget in seconds" + scope)
-
-    # every pair is built by a walk, which does not search; the options stay
-    # for the even-even pairs, which nothing decides yet
-    no_search = "; it bounds nothing here until even-even pairs are decided"
-
-    p = add("gen", cmd_gen, help="generate a base graph")
+    p = add("gen", cmd_gen, takes_json=False, help="generate a base graph")
     p.add_argument("family", choices=["bowtie", "butterfly", "cycle", "path", "complete"])
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
@@ -427,14 +414,17 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.add_argument("--dot", action="store_true")
 
-    p = add("otis", cmd_otis, help="swapped network of a base graph")
+    p = add("otis", cmd_otis, takes_json=False, help="swapped network of a base graph")
     p.add_argument("--in", required=True)
     p.add_argument("--out")
     p.add_argument("--dot", action="store_true")
 
     p = add("decide", cmd_decide, help="complete Hamiltonicity decision")
     p.add_argument("--in", required=True)
-    add_budget(p)
+    p.add_argument("--budget-nodes", type=_positive(int), dest="budget_nodes",
+                   default=SearchBudget().max_nodes, help="search node budget")
+    p.add_argument("--budget-secs", type=_positive(float), dest="budget_secs",
+                   default=SearchBudget().max_seconds, help="search time budget in seconds")
     p.add_argument("--seed", help="JSON file of forced/deleted label pairs; decides if a Hamiltonian cycle extends them")
 
     p = add("refute-count", cmd_refute_count, help="counting non-Hamiltonicity certificate")
@@ -444,7 +434,6 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--emit-key-edges", action="store_true")
-    add_budget(p, no_search)
     p.add_argument("--out")
     p.add_argument("--dot", action="store_true")
 
@@ -457,7 +446,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", required=True)
     p.add_argument("--cycle", required=True)
 
-    p = add("export", cmd_export, help="edge list to DOT")
+    p = add("export", cmd_export, takes_json=False, help="edge list to DOT")
     p.add_argument("--in", required=True)
     p.add_argument("--out")
 
@@ -465,7 +454,6 @@ def build_parser() -> _Parser:
 
     p = add("sweep", cmd_sweep, help="build and verify every supported pair")
     p.add_argument("--max-base", type=int, required=True)
-    add_budget(p, no_search)
 
     return parser
 

@@ -88,12 +88,6 @@ class Graph:
         lab = self.labels
         return [(lab[a], lab[b]) for a, b in self.oriented_ends()]
 
-    def has_edge(self, u: str, v: str) -> bool:
-        a, b = self.index.get(u), self.index.get(v)
-        if a is None or b is None:
-            return False
-        return ((a, b) if a < b else (b, a)) in self.edge_id
-
     def _vertex(self, v: str) -> int:
         try:
             return self.index[v]

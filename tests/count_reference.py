@@ -17,7 +17,7 @@ from __future__ import annotations
 from otisham.engine import MIS_CANDIDATE_CAP, CountingCertificate, _max_independent_set
 from otisham.graph import Graph
 
-from graph_reference import degree, neighbors
+from graph_reference import degree, has_edge, neighbors
 
 
 def counting_refutation(graph: Graph) -> CountingCertificate | None:
@@ -26,7 +26,7 @@ def counting_refutation(graph: Graph) -> CountingCertificate | None:
         return None
     high: list[str] = []
     for v in sorted(graph.vertices()):
-        if degree(graph, v) >= 4 and all(not graph.has_edge(v, w) for w in high):
+        if degree(graph, v) >= 4 and all(not has_edge(graph, v, w) for w in high):
             high.append(v)
     family_bound = sum(degree(graph, v) - 2 for v in high)
     high_or_excluded = {v for v in graph.vertices() if degree(graph, v) >= 4}
@@ -75,7 +75,7 @@ def certificate_problems(graph: Graph, cert: CountingCertificate) -> list[str]:
         f"family members {u} and {v} are adjacent"
         for x, u in enumerate(family)
         for v in family[x + 1 :]
-        if graph.has_edge(u, v)
+        if has_edge(graph, u, v)
     ]
     if cert.family_bound != sum(degree(graph, v) - 2 for v in family):
         problems.append(f"family_bound {cert.family_bound} is not the sum of deg - 2")

@@ -8,9 +8,9 @@ must give the same digest on every graph.  ``cycle_violation`` checks on
 labels, with a set and a list of the whole order; the package's, on vertex
 indices, must give the same answer for every order.
 
-``neighbors`` and ``degree`` are the label-level views that ``Graph``
-had as methods.  The package reads the index arrays; only the tests and
-their references read a graph by label this way.
+``neighbors``, ``degree`` and ``has_edge`` are the label-level views
+that ``Graph`` had as methods.  The package reads the index arrays; only
+the tests and their references read a graph by label this way.
 
 ``otis_bowtie_violation`` is the arithmetic check of an OTIS(BF(m,n))
 cycle as a flat order of vertex indices: it marks every index in a
@@ -60,7 +60,7 @@ def cycle_violation(graph: Graph, order) -> str | None:
         return "too-short"
     for k, u in enumerate(order):
         v = order[(k + 1) % len(order)]
-        if not graph.has_edge(u, v):
+        if not has_edge(graph, u, v):
             return f"non-adjacent-step:{u}-{v}"
     return None
 
@@ -74,6 +74,14 @@ def neighbors(graph: Graph, v: str) -> list[str]:
 
 def degree(graph: Graph, v: str) -> int:
     return len(graph.incident[graph._vertex(v)])
+
+
+def has_edge(graph: Graph, u: str, v: str) -> bool:
+    """Whether {u, v} is an edge; False for an unknown label or u == v."""
+    a, b = graph.index.get(u), graph.index.get(v)
+    if a is None or b is None:
+        return False
+    return ((a, b) if a < b else (b, a)) in graph.edge_id
 
 
 def otis_bowtie_violation(m: int, n: int, order) -> str | None:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from otisham.graph import Graph
 from otisham.trees import IndependenceReport, TreePair
 
+from graph_reference import has_edge
+
 
 def _root_path(parent: dict[str, str], root: str, v: str) -> list[str] | None:
     """Vertices from v up to the root, or None on a broken parent chain."""
@@ -34,7 +36,7 @@ def independence_report(pair: TreePair, graph: Graph) -> IndependenceReport:
     every tree edge is an edge of ``graph``."""
     for parent in (pair.parent1, pair.parent2):
         for child, par in parent.items():
-            if not graph.has_edge(child, par):
+            if not has_edge(graph, child, par):
                 return IndependenceReport(False, False, f"tree edge {child}-{par} not in graph")
     if pair.root in pair.parent1 or pair.root in pair.parent2:
         return IndependenceReport(False, False, f"root {pair.root} has a parent")
@@ -80,7 +82,7 @@ def is_spanning_tree(parent: dict[str, str], root: str, graph: Graph) -> bool:
         return x
 
     for child, par in parent.items():
-        if not graph.has_edge(child, par):
+        if not has_edge(graph, child, par):
             return False
         ra, rb = find(child), find(par)
         if ra == rb:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -15,6 +16,7 @@ from otisham.io import to_dot
 from otisham.topology import gen_bowtie, otis, otis_bowtie_hash
 
 from conftest import CONTRADICTING_TABLES, FAULTY_TABLES, TABLE_CLASS_PAIRS, peak_bytes, use_completion, use_table
+from graph_reference import has_edge
 
 CLI = [sys.executable, "-m", "otisham"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -68,12 +70,6 @@ def test_decide_budget_inconclusive_exit_code(tmp_path):
     proc = run("decide", "--in", str(el), "--budget-nodes", "1", "--json", check=False)
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["verdict"] == "inconclusive"
-
-
-def test_budget_changes_no_build_or_sweep_byte(capsys):
-    # every pair is walked, the small figures too, so no build searches
-    for argv in (["ham-build", "--m", "3", "--n", "3", "--json"], ["sweep", "--max-base", "7", "--json"]):
-        assert call_main(capsys, argv + ["--budget-nodes", "1"]) == call_main(capsys, argv), argv
 
 
 def test_decide_with_seed_file(tmp_path):
@@ -279,7 +275,7 @@ def test_repeated_main_calls_match_separate_processes(tmp_path, capsys, monkeypa
     graph, seed = str(tmp_path / "k6.el"), str(tmp_path / "seed.json")
     calls = [
         (["decide", "--in", graph, "--seed", seed, "--budget-nodes", "1", "--json"], 2),
-        (["ham-build", "--m", "3", "--n", "3", "--budget-nodes", "0"], 4),
+        (["decide", "--in", graph, "--budget-nodes", "0"], 4),
         (["--version"], 0),
         (["decide", "--in", graph, "--json"], 0),
         (["ham-build", "--m", "7", "--n", "7", "--json"], 0),
@@ -344,11 +340,54 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_budget_defaults_are_the_search_budget_defaults():
-    parse = cli.build_parser().parse_args
-    for argv in (["decide", "--in", "x"], ["ham-build", "--m", "3", "--n", "5"], ["sweep", "--max-base", "5"]):
-        args = parse(argv)
-        assert (args.budget_nodes, args.budget_secs) == (10_000_000, 600.0), argv
-        assert (type(args.budget_nodes), type(args.budget_secs)) == (int, float), argv
+    args = cli.build_parser().parse_args(["decide", "--in", "x"])
+    assert (args.budget_nodes, args.budget_secs) == (10_000_000, 600.0)
+    assert (type(args.budget_nodes), type(args.budget_secs)) == (int, float)
+
+
+def subcommand_options() -> dict[str, tuple[str, ...]]:
+    """Each subcommand's arguments as the parser holds them: option strings,
+    or the name of a positional, leaving out ``-h``/``--help``."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: tuple(opt for a in p._actions if not isinstance(a, argparse._HelpAction)
+                    for opt in a.option_strings or [a.dest])
+        for name, p in sub.choices.items()
+    }
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    # an option added or dropped later shows up here
+    assert subcommand_options() == {
+        "gen": ("family", "--m", "--n", "--dim", "--k", "--out", "--dot"),
+        "otis": ("--in", "--out", "--dot"),
+        "decide": ("--json", "--in", "--budget-nodes", "--budget-secs", "--seed"),
+        "refute-count": ("--json", "--in"),
+        "ham-build": ("--json", "--m", "--n", "--emit-key-edges", "--out", "--dot"),
+        "ist": ("--json", "--cycle", "--root", "--in"),
+        "verify": ("--json", "--in", "--cycle"),
+        "export": ("--in", "--out"),
+        "reproduce": ("--json",),
+        "sweep": ("--json", "--max-base"),
+    }
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("ham-build --m 7 --n 7", "--budget-nodes 5"),
+    ("ham-build --m 7 --n 7", "--budget-secs 5"),
+    ("sweep --max-base 7", "--budget-nodes 5"),
+    ("sweep --max-base 7", "--budget-secs 5"),
+    ("gen cycle --k 5", "--json"),
+    ("otis --in base.el", "--json"),
+    ("export --in net.el", "--json"),
+])
+def test_an_option_the_command_does_not_take_is_a_usage_error(command, extra, capsys):
+    # only decide searches, so only decide takes a budget; gen, otis and
+    # export print no payload, so they take no --json
+    rc, out, err = call_main(capsys, f"{command} {extra}".split())
+    assert (rc, out) == (4, "")
+    assert err.endswith(f"error: unrecognized arguments: {extra}\n"), err
 
 
 def test_emit_key_edges_even_even_reports_unsupported():
@@ -374,7 +413,7 @@ BAD_INPUTS = {
     "cycle length below 3": (["ham-build", "--m", "2", "--n", "5"], None),
     "zero node budget": (["decide", "--in", "{graph}", "--budget-nodes", "0"], None),
     "zero time budget": (["decide", "--in", "{graph}", "--budget-secs", "0"], None),
-    "negative build budget": (["ham-build", "--m", "3", "--n", "5", "--budget-nodes", "-1"], None),
+    "negative build budget": (["ham-build", "--m", "3", "--n", "5", "--budget-nodes", "-1"], None),  # no such option
     "seed with an unknown label": (["decide", "--in", "{graph}", "--seed", "{file}"], '{"forced": [["1", "9"]]}'),
     "seed with a non-edge": (["decide", "--in", "{graph}", "--seed", "{file}"], '{"deleted": [["1", "3"]]}'),
     "seed that is a list": (["decide", "--in", "{graph}", "--seed", "{file}"], '[["1", "2"]]'),
@@ -424,7 +463,9 @@ def test_bad_input_fails_closed(case, tmp_path):
     if text is not None:
         file.write_text(text)
     argv = [a.format(graph=graph, file=file, dir=tmp_path) for a in argv]
-    proc = run(*argv, "--json", check=False)
+    if "--json" in subcommand_options()[argv[0]]:
+        argv.append("--json")
+    proc = run(*argv, check=False)
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout == ""
     errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
@@ -582,8 +623,8 @@ def test_ham_build_dot_runs_no_search(m, n, tmp_path, capsys, monkeypatch):
     dot = to_dot(otis(gen_bowtie(m, n)))
     argv = ["ham-build", "--m", str(m), "--n", str(n), "--dot"]
     assert call_main(capsys, argv) == (0, dot, "")
-    # --json does not apply to a drawing, and --dot takes no search budget
-    assert call_main(capsys, argv + ["--json", "--budget-nodes", "1"]) == (0, dot, "")
+    # --json does not apply to a drawing
+    assert call_main(capsys, argv + ["--json"]) == (0, dot, "")
     out = tmp_path / "g.dot"
     assert call_main(capsys, argv + ["--out", str(out)]) == (0, "", "")
     assert out.read_text() == dot
@@ -622,7 +663,7 @@ def test_ist_names_a_vertex_left_off_the_cycle(tmp_path, capsys):
     # a vertex whose cycle neighbours are adjacent: without it the walk
     # keeps every tree edge in the graph, and the graph keeps its hash
     graph = otis(gen_bowtie(3, 5))
-    k = next(k for k in range(1, len(order) - 1) if graph.has_edge(order[k - 1], order[k + 1]))
+    k = next(k for k in range(1, len(order) - 1) if has_edge(graph, order[k - 1], order[k + 1]))
     dropped = order.pop(k)
     cert.write_text(json.dumps(payload))
     rc, out, err = call_main(capsys, ["ist", "--cycle", str(cert), "--root", order[0], "--in", str(net), "--json"])

@@ -66,7 +66,8 @@ def test_whole_graph_passes_read_no_label_queries(monkeypatch):
     def refuse(*args):
         raise AssertionError("label query in a whole-graph pass")
 
-    monkeypatch.setattr(Graph, "has_edge", refuse)
+    for name in ("edge_index", "_vertex"):
+        monkeypatch.setattr(Graph, name, refuse)
     assert counting_refutation(otis(gen_butterfly(4))) is None
     report, mismatches = cli.reproduce_report()
     assert mismatches == [] and report["total_bound"] == 29

@@ -20,7 +20,7 @@ from otisham.topology import gen_bowtie, gen_butterfly, gen_cycle, gen_path, oti
 
 import graph_reference
 from conftest import GOLDEN_BASES, random_graph
-from graph_reference import degree, neighbors
+from graph_reference import degree, has_edge, neighbors
 
 
 def test_basic_container_semantics():
@@ -28,8 +28,9 @@ def test_basic_container_semantics():
     g.link(g.add_vertex("a"), g.add_vertex("b"))
     assert degree(g, "a") == 1
     assert neighbors(g, "b") == ["a"]
-    assert g.has_edge("b", "a")
-    assert not g.has_edge("a", "a")
+    assert has_edge(g, "b", "a")
+    assert not has_edge(g, "a", "a")
+    assert not has_edge(g, "a", "zz")
     with pytest.raises(GraphError):
         g.edge_index("a", "a")
     with pytest.raises(GraphError):

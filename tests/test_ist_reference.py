@@ -16,7 +16,7 @@ from otisham.topology import gen_bowtie, otis
 from otisham.trees import TreePair, build_ists, independence_report
 
 import ist_reference
-from graph_reference import degree, neighbors
+from graph_reference import degree, has_edge, neighbors
 from conftest import sweep_parameter_pairs, sweep_roots
 
 CASES_PER_KIND = 400
@@ -154,7 +154,7 @@ def missing_edge(rng):
     if mode == 0:  # an unknown label
         parent[x] = "zz"
     elif mode == 1:  # a vertex that is not adjacent, or x itself
-        far = [w for w in graph.vertices() if not graph.has_edge(x, w)]
+        far = [w for w in graph.vertices() if not has_edge(graph, x, w)]
         parent[x] = rng.choice(far)
     else:  # an unknown child
         parent["zz"] = x
