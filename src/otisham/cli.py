@@ -5,7 +5,8 @@ Exit codes: 0 success / verdict obtained, 2 inconclusive (budget),
 option or size (such as ``sweep --max-base`` below 5, or a graph or OTIS
 network over the size limit of ``topology.MAX_EDGES``, 2**23 edges), a
 ``gen`` option missing or foreign to its family, an unreadable or
-malformed input file, or a label or pair the graph does not have.
+malformed input file, an unwritable ``--out`` path, ``ham-build --out``
+on an even-even pair, or a label or pair the graph does not have.
 Handlers raise ``GraphError`` for usage errors and ``KeyEdgeError`` for
 table faults, and ``main`` alone prints each as one ``error:`` line.
 ``--json`` output is byte-identical across runs for identical inputs,
@@ -17,6 +18,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 import time
 from collections import Counter
@@ -88,6 +91,16 @@ def _read_text(path: str) -> str:
         raise GraphError(f"{path} is not UTF-8 text") from None
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` into ``path`` in place and cut a regular file to its
+    length.  Opening without ``O_TRUNC`` keeps the old file's blocks, so a
+    rewrite frees none unless it is shorter; a device or FIFO is not cut."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _read_graph(path: str) -> Graph:
     return read_edge_list(_read_text(path))
 
@@ -106,8 +119,7 @@ def _emit(args, payload: dict) -> None:
 def _write_graph(graph: Graph, out: str | None, dot: bool) -> None:
     text = to_dot(graph) if dot else write_edge_list(graph)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -187,8 +199,10 @@ def cmd_ham_build(args) -> int:
     if args.emit_key_edges and (args.dot or args.out):
         raise GraphError("--emit-key-edges takes neither --dot nor --out")
     # even-even pairs have no table; they get the same unsupported-class
-    # report below that a build gives
+    # report below that a build gives, except that --out has nothing to write
     cls = classify(args.m, args.n)
+    if args.out and cls is ParamClass.EVEN_EVEN:
+        raise GraphError(f"--out needs a built cycle, and the {cls.value} pair {(args.m, args.n)} has no table")
     if args.dot and cls is not ParamClass.EVEN_EVEN:
         _write_graph(otis(gen_bowtie(args.m, args.n)), args.out, True)
         return EXIT_OK
@@ -217,8 +231,7 @@ def cmd_ham_build(args) -> int:
         return EXIT_OK
     digest = otis_bowtie_hash(args.m, args.n)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(write_cycle_certificate(result.cycle, digest) + "\n")
+        _write_text(args.out, write_cycle_certificate(result.cycle, digest) + "\n")
     payload = {
         "m": args.m,
         "n": args.n,

@@ -430,6 +430,11 @@ BAD_INPUTS = {
     "key edges to a file": (["ham-build", "--m", "7", "--n", "7", "--emit-key-edges", "--out", "{file}"], None),
     "key edges as DOT": (["ham-build", "--m", "7", "--n", "7", "--emit-key-edges", "--dot"], None),
     "graph path is a directory": (["decide", "--in", "{dir}"], None),
+    "gen output path is a directory": (["gen", "cycle", "--k", "5", "--out", "{dir}"], None),
+    "certificate path is a directory": (["ham-build", "--m", "7", "--n", "7", "--out", "{dir}"], None),
+    "output path in a missing directory": (["gen", "cycle", "--k", "5", "--out", "{dir}/missing/g.el"], None),
+    "even-even certificate to a file": (["ham-build", "--m", "4", "--n", "4", "--out", "{file}"], None),
+    "even-even DOT to a file": (["ham-build", "--m", "4", "--n", "4", "--dot", "--out", "{file}"], None),
     "OTIS base of one vertex": (["otis", "--in", "{file}"], "V 1\na\n"),
     "OTIS base of no vertex": (["otis", "--in", "{file}"], "V 0\n"),
     "vertex count line with a trailing token": (["decide", "--in", "{file}"], "V 2 x\n1 2\n"),
@@ -628,6 +633,79 @@ def test_ham_build_dot_runs_no_search(m, n, tmp_path, capsys, monkeypatch):
     out = tmp_path / "g.dot"
     assert call_main(capsys, argv + ["--out", str(out)]) == (0, "", "")
     assert out.read_text() == dot
+
+
+@pytest.mark.parametrize("dot", [[], ["--dot"]], ids=["certificate", "DOT"])
+def test_ham_build_even_even_out_writes_nothing(dot, tmp_path, capsys):
+    out = tmp_path / "f"
+    argv = ["ham-build", "--m", "4", "--n", "4", *dot, "--out", str(out)]
+    message = "error: --out needs a built cycle, and the even-even pair (4, 4) has no table\n"
+    assert call_main(capsys, argv) == (4, "", message)
+    assert not out.exists()
+
+
+# commands whose --out output rewrites one file in turn: shorter, longer and
+# same-sized output, and a DOT drawing over an edge list
+REWRITES = {
+    "shorter": (["gen", "cycle", "--k", "50"], ["gen", "cycle", "--k", "5"]),
+    "longer": (["gen", "cycle", "--k", "5"], ["gen", "cycle", "--k", "50"]),
+    "same size": (["gen", "cycle", "--k", "5"], ["gen", "path", "--k", "6"]),
+    "DOT over an edge list": (["gen", "cycle", "--k", "50"], ["ham-build", "--m", "3", "--n", "4", "--dot"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REWRITES))
+def test_out_rewrites_a_file_in_place(case, tmp_path, capsys):
+    out = tmp_path / "g.out"
+
+    def rewrite(argv) -> int:
+        rc, printed, err = call_main(capsys, argv)
+        assert (rc, err) == (0, "")
+        assert call_main(capsys, argv + ["--out", str(out)]) == (0, "", "")
+        assert out.read_bytes() == printed.encode("utf-8")  # that command's stdout, with no old tail
+        return len(printed)
+
+    first, then = REWRITES[case]
+    old_size = rewrite(first)
+    out.chmod(0o640)
+    before = out.stat()
+    new_size = rewrite(then)
+    # the file is rewritten, not replaced: same inode, same mode
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert case != "same size" or new_size == old_size
+
+
+def test_out_rewrites_a_certificate_in_place(tmp_path, capsys):
+    cert = tmp_path / "c.json"
+    for m, n in [(7, 9), (7, 7)]:  # the second certificate is the shorter one
+        rc, out, err = call_main(capsys, ["ham-build", "--m", str(m), "--n", str(n), "--out", str(cert), "--json"])
+        assert (rc, err) == (0, "")
+        payload = json.loads(out)
+        want = {"graph_hash": payload["graph_hash"], "order": payload["cycle"], "verified": True}
+        assert cert.read_text() == json.dumps(want, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def test_out_opens_without_truncating(tmp_path, capsys, monkeypatch):
+    # O_TRUNC would free the old file's blocks on every rewrite
+    out = tmp_path / "g.el"
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        if str(path) == str(out):
+            flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    for k in ("50", "5"):
+        assert call_main(capsys, ["gen", "cycle", "--k", k, "--out", str(out)]) == (0, "", "")
+    assert len(flags) == 2 and not any(f & os.O_TRUNC for f in flags)
+
+
+def test_out_to_a_device_is_not_cut(capsys):
+    # /dev/null is no regular file, so the writer does not truncate it
+    assert call_main(capsys, ["gen", "cycle", "--k", "5", "--out", os.devnull]) == (0, "", "")
 
 
 def test_ist_names_the_first_violation(tmp_path, capsys):
