@@ -26,7 +26,6 @@ from collections import Counter
 
 from . import __version__
 from .constructive import (
-    FailureReport,
     KeyEdgeError,
     ParamClass,
     build_ham_cycle,
@@ -35,7 +34,6 @@ from .constructive import (
 )
 from .engine import (
     EdgeAssignment,
-    HAMILTONIAN,
     INCONCLUSIVE,
     NON_HAMILTONIAN,
     SearchBudget,
@@ -195,53 +193,32 @@ def cmd_refute_count(args) -> int:
     return EXIT_OK
 
 
+# what ham-build and sweep report for an even-even pair
+_EVEN_EVEN_DETAIL = "no table exists for even-even pairs; only (4,4) and (4,6) are proven non-Hamiltonian"
+
+
 def cmd_ham_build(args) -> int:
     if args.emit_key_edges and (args.dot or args.out):
         raise GraphError("--emit-key-edges takes neither --dot nor --out")
-    # even-even pairs have no table; they get the same unsupported-class
-    # report below that a build gives, except that --out has nothing to write
     cls = classify(args.m, args.n)
-    if args.out and cls is ParamClass.EVEN_EVEN:
-        raise GraphError(f"--out needs a built cycle, and the {cls.value} pair {(args.m, args.n)} has no table")
-    if args.dot and cls is not ParamClass.EVEN_EVEN:
+    head = {"m": args.m, "n": args.n, "class": cls.value}
+    if cls is ParamClass.EVEN_EVEN:  # no table: every mode but --out gets this one report
+        if args.out:
+            raise GraphError(f"--out needs a built cycle, and the {cls.value} pair {(args.m, args.n)} has no table")
+        _emit(args, head | {"failure": "unsupported-class", "detail": _EVEN_EVEN_DETAIL})
+        return EXIT_OK
+    if args.dot:
         _write_graph(otis(gen_bowtie(args.m, args.n)), args.out, True)
         return EXIT_OK
-    if args.emit_key_edges and cls is not ParamClass.EVEN_EVEN:
-        payload = {
-            "m": args.m,
-            "n": args.n,
-            "class": cls.value,
-            "key_edges": [
-                {"cluster": ke.cluster, "edge": [ke.a, ke.b], "tag": ke.tag}
-                for ke in key_edges(args.m, args.n)
-            ],
-        }
-        _emit(args, payload)
+    if args.emit_key_edges:
+        rows = [{"cluster": ke.cluster, "edge": [ke.a, ke.b], "tag": ke.tag} for ke in key_edges(args.m, args.n)]
+        _emit(args, head | {"key_edges": rows})
         return EXIT_OK
     result = build_ham_cycle(args.m, args.n)
-    if isinstance(result, FailureReport):
-        payload = {
-            "m": args.m,
-            "n": args.n,
-            "class": result.param_class.value,
-            "failure": result.kind,
-            "detail": result.detail,
-        }
-        _emit(args, payload)
-        return EXIT_OK
     digest = otis_bowtie_hash(args.m, args.n)
     if args.out:
         _write_text(args.out, write_cycle_certificate(result.cycle, digest) + "\n")
-    payload = {
-        "m": args.m,
-        "n": args.n,
-        "class": result.param_class.value,
-        "cycle": list(result.cycle),
-        "verified": True,
-        "steps": result.steps,
-        "graph_hash": digest,
-    }
-    _emit(args, payload)
+    _emit(args, head | {"cycle": list(result.cycle), "verified": True, "steps": result.steps, "graph_hash": digest})
     return EXIT_OK
 
 
@@ -360,12 +337,12 @@ def sweep_pairs(max_base: int) -> list[tuple[int, int]]:
 
 def _sweep_one(m: int, n: int) -> dict:
     m, n = bowtie_pair(m, n)
-    result = build_ham_cycle(m, n)
-    entry = {"m": m, "n": n, "class": result.param_class.value}
-    if isinstance(result, FailureReport):
-        entry["status"] = "unsupported"
-        entry["detail"] = result.detail
+    cls = classify(m, n)
+    entry = {"m": m, "n": n, "class": cls.value}
+    if cls is ParamClass.EVEN_EVEN:
+        entry.update(status="unsupported", detail=_EVEN_EVEN_DETAIL)
         return entry
+    result = build_ham_cycle(m, n)
     # the cycle passed the build's check, so only the trees' shape is checked
     roots = [otis_label(str(v), str(v)) for v in (1, m, m + n - 1)]
     independent = all(independence_report(build_ists(result.cycle, root)).vertex_disjoint for root in roots)

@@ -434,17 +434,7 @@ def key_edges(m: int, n: int) -> list[KeyEdge]:
 
 class BuildResult(NamedTuple):
     cycle: tuple[str, ...]
-    param_class: ParamClass
     steps: int  # one per cycle vertex
-
-
-class FailureReport(NamedTuple):
-    kind: str  # "unsupported-class", the one failure a build reports
-    param_class: ParamClass
-    detail: str
-
-
-UNSUPPORTED_CLASS = "unsupported-class"
 
 
 def _walk(m: int, n: int, cls: ParamClass) -> list[tuple[int, int]]:
@@ -530,24 +520,17 @@ def _walk(m: int, n: int, cls: ParamClass) -> list[tuple[int, int]]:
     return list(zip(bounds[::2], bounds[1::2]))
 
 
-def build_ham_cycle(m: int, n: int):
+def build_ham_cycle(m: int, n: int) -> BuildResult:
     """Construct and verify a Hamiltonian cycle of OTIS(bowtie(m, n)).
 
     Walks the cycle that the class's key and completion rows leave and
     checks it by index arithmetic, with no graph and no search; a table
-    fault, the walk's or the check's, raises ``KeyEdgeError``.  Returns a
-    BuildResult, or a FailureReport for an even-even pair; never an
+    fault, the walk's or the check's, raises ``KeyEdgeError``, and an
+    even-even pair, which has no table, ``ValueError``.  Never returns an
     unverified cycle.
     """
     m, n = bowtie_pair(m, n)
     cls = classify(m, n)
-    if cls is ParamClass.EVEN_EVEN:
-        return FailureReport(
-            kind=UNSUPPORTED_CLASS,
-            param_class=cls,
-            detail="no table exists for even-even pairs; "
-            "only (4,4) and (4,6) are proven non-Hamiltonian",
-        )
     segments = _walk(m, n, cls)
     reason = otis_bowtie_violation(m, n, segments)
     if reason is not None:
@@ -556,4 +539,4 @@ def build_ham_cycle(m: int, n: int):
     cycle: list[str] = []
     for first, last in segments:
         cycle += labels[first:last + 1] if first <= last else labels[last:first + 1][::-1]
-    return BuildResult(cycle=tuple(cycle), param_class=cls, steps=len(cycle))
+    return BuildResult(cycle=tuple(cycle), steps=len(cycle))

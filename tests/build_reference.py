@@ -40,8 +40,6 @@ from typing import NamedTuple
 
 from otisham.constructive import (
     _COMPLETIONS,
-    UNSUPPORTED_CLASS,
-    FailureReport,
     KeyEdgeError,
     ParamClass,
     _table_rows,
@@ -62,21 +60,20 @@ class ReferenceBuild(NamedTuple):
     graph: Graph
 
 
+class ReferenceFailure(NamedTuple):
+    kind: str  # "contradiction" or INCONCLUSIVE
+    detail: str
+
+
 def reference_build(m: int, n: int, *, budget: SearchBudget | None = None):
-    """A verified ReferenceBuild of OTIS(bowtie(m, n)), or a FailureReport."""
+    """A verified ReferenceBuild of OTIS(bowtie(m, n)), or a ReferenceFailure.
+    An even-even pair has no table, so ``key_edges`` raises ``ValueError``."""
     m, n = bowtie_pair(m, n)
     cls = classify(m, n)
-    if cls is ParamClass.EVEN_EVEN:
-        return FailureReport(
-            kind=UNSUPPORTED_CLASS,
-            param_class=cls,
-            detail="no table exists for even-even pairs; "
-            "only (4,4) and (4,6) are proven non-Hamiltonian",
-        )
     graph = otis(gen_bowtie(m, n))
 
-    def contradiction(detail: str) -> FailureReport:
-        return FailureReport("contradiction", cls, detail)
+    def contradiction(detail: str) -> ReferenceFailure:
+        return ReferenceFailure("contradiction", detail)
 
     asg = EdgeAssignment.for_graph(graph)
     for ke in key_edges(m, n):
@@ -99,7 +96,7 @@ def reference_build(m: int, n: int, *, budget: SearchBudget | None = None):
         else:
             verdict = decide(graph, seed=asg, budget=budget)
         if verdict.status == INCONCLUSIVE:
-            return FailureReport(INCONCLUSIVE, cls, f"search budget exhausted: {verdict.reason}")
+            return ReferenceFailure(INCONCLUSIVE, f"search budget exhausted: {verdict.reason}")
         if not verdict.is_hamiltonian:
             return contradiction(f"no completion of the table fixpoint: {verdict.status}")
         cycle = verdict.cycle

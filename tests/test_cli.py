@@ -12,7 +12,7 @@ from otisham import cli
 from otisham import constructive
 from otisham import io as otisham_io
 from otisham.graph import Graph
-from otisham.io import to_dot
+from otisham.io import to_dot, write_edge_list
 from otisham.topology import gen_bowtie, otis, otis_bowtie_hash
 
 from conftest import CONTRADICTING_TABLES, FAULTY_TABLES, TABLE_CLASS_PAIRS, peak_bytes, use_completion, use_table
@@ -494,6 +494,9 @@ def test_bad_input_fails_closed(case, tmp_path):
      "OTIS(BF(99999999999999999999, 4)) is over the size limit of 8388608 edges"),
     (["sweep", "--max-base", "99999999999999999999"],
      "OTIS(BF(3, 99999999999999999997)) is over the size limit of 8388608 edges"),
+    # checked before the even-even pair's own --out error
+    (["ham-build", "--m", "4", "--n", "4", "--emit-key-edges", "--out", os.devnull],
+     "--emit-key-edges takes neither --dot nor --out"),
 ])
 def test_bad_input_message(argv, message, capsys):
     assert call_main(capsys, argv) == (4, "", f"error: {message}\n")
@@ -758,3 +761,56 @@ def test_ist_names_a_tree_edge_to_a_foreign_label(tmp_path, capsys):
     assert (rc, json.loads(out)["independent"]) == (3, False)
     # tree 1 walks against the cycle: its first edge is order[1] to order[2]
     assert err == f"error: tree edge {order[1]}-zz not in graph\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["decide", "--in", "{file}"],
+    ["decide", "--in", "{graph}", "--seed", "{file}"],
+    ["ist", "--cycle", "{file}", "--root", "1"],
+], ids=["decide --in", "decide --seed", "ist --cycle"])
+def test_input_that_is_not_utf8_is_a_usage_error(command, tmp_path, capsys):
+    graph, file = tmp_path / "c4.el", tmp_path / "input"
+    graph.write_text("V 4\n1 2\n2 3\n3 4\n4 1\n")
+    file.write_bytes(b"V 4\n1 2\n\xff\xfe\n")
+    argv = [a.format(graph=graph, file=file) for a in command]
+    assert call_main(capsys, argv) == (4, "", f"error: {file} is not UTF-8 text\n")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+def test_ist_certificate_of_another_graph_is_a_mismatch(json_flag, tmp_path, capsys):
+    net, cert, payload = _ist_certificate(tmp_path, capsys, 3, 5)
+    argv = ["ist", "--cycle", str(cert), "--root", payload["order"][0], *json_flag]
+    assert call_main(capsys, argv + ["--in", str(net)])[0] == 0
+    other = tmp_path / "other.el"
+    other.write_text(write_edge_list(otis(gen_bowtie(3, 4))))
+    message = "error: certificate does not match the supplied graph\n"
+    assert call_main(capsys, argv + ["--in", str(other)]) == (3, "", message)
+
+
+EVEN_EVEN_PAIRS = [(4, 4), (4, 6), (6, 8)]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("m,n", EVEN_EVEN_PAIRS)
+def test_every_ham_build_mode_gives_an_even_even_pair_one_report(m, n, json_flag, capsys):
+    def report(*mode):
+        rc, out, err = call_main(capsys, ["ham-build", "--m", str(m), "--n", str(n), *mode, *json_flag])
+        assert (rc, err) == (0, "")
+        return [line for line in out.splitlines() if not line.startswith("wall_ms: ")]
+
+    build = report()
+    assert report("--dot") == build
+    assert report("--emit-key-edges") == build
+    if json_flag:
+        assert json.loads(build[0])["failure"] == "unsupported-class"
+    else:
+        assert build[:4] == [f"m: {m}", f"n: {n}", "class: even-even", "failure: unsupported-class"]
+
+
+def test_sweep_gives_an_even_even_pair_the_ham_build_detail(capsys):
+    rc, out, _ = call_main(capsys, ["sweep", "--max-base", "13", "--json"])
+    assert rc == 0
+    entries = {(e["m"], e["n"]): e for e in json.loads(out)["entries"]}
+    for m, n in EVEN_EVEN_PAIRS:
+        detail = json.loads(call_main(capsys, ["ham-build", "--m", str(m), "--n", str(n), "--json"])[1])["detail"]
+        assert (entries[m, n]["status"], entries[m, n]["detail"]) == ("unsupported", detail)

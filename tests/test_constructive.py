@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from otisham import cli, constructive
 from otisham.constructive import (
     BuildResult,
-    FailureReport,
     KeyEdgeError,
     ParamClass,
     build_ham_cycle,
@@ -133,12 +132,9 @@ def test_build_equal_class():
 
 
 def test_build_even_even_unsupported():
-    r = build_ham_cycle(4, 4)
-    assert isinstance(r, FailureReport)
-    assert r.kind == "unsupported-class"
-    r = build_ham_cycle(6, 8)
-    assert isinstance(r, FailureReport)
-    assert r.kind == "unsupported-class"
+    for m, n in [(4, 4), (6, 8)]:
+        with pytest.raises(ValueError, match="no key-edge table for class even-even"):
+            build_ham_cycle(m, n)
 
 
 def test_every_sweep_build_is_verified(sweep_builds):
@@ -156,7 +152,8 @@ def test_construction_cost_examples():
     assert s39 / s35 <= 3 * (v39 / v35)
     # the cost is a table build's: (3,3) has an empty key table, (4,4) no build
     assert key_edges(3, 3) == []
-    assert isinstance(build_ham_cycle(4, 4), FailureReport)
+    with pytest.raises(ValueError, match="no key-edge table for class even-even"):
+        build_ham_cycle(4, 4)
 
 
 @pytest.mark.parametrize("m,n", [(3, 4), (7, 7), (3, 3)])
@@ -368,6 +365,26 @@ def test_constructive_calls_nothing_from_engine_graph_or_otis():
     defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     wrapped = {attr for owner, attr, _, _ in load_spans().WRAPS if owner == "constructive"} - defined
     assert imported == wrapped
+
+
+def test_every_module_uses_what_it_imports():
+    # the one exception is the names constructive imports for the traced
+    # benchmark run alone; it ends when bench/spans.py stops wrapping them
+    tree = ast.parse(Path(constructive.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    wrapped = {attr for owner, attr, _, _ in load_spans().WRAPS if owner == "constructive"} - defined
+    unused = {}
+    for path in sorted(Path(constructive.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        unused[path.stem] = imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert len(unused) > 2
+    assert unused == {stem: wrapped if stem == "constructive" else set() for stem in unused}
 
 
 def test_construction_cost_is_deterministic():
