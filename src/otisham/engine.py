@@ -44,11 +44,6 @@ class Contradiction(NamedTuple):
     vertex: str | None = None
     cycle: tuple[str, ...] | None = None
 
-    def __str__(self):
-        if self.kind == SHORT_SUBCYCLE and self.cycle:
-            return f"{self.kind} of length {len(self.cycle)} through {self.cycle[0]}"
-        return f"{self.kind} at {self.vertex}"
-
 
 class EdgeAssignment:
     """Tri-state edge labelling, over the host graph's edge ids, with
@@ -336,10 +331,6 @@ class HamVerdict(NamedTuple):
     max_depth: int = 0
     steps: int = 0  # propagation steps of the search, not of its seed
     reason: str | None = None
-
-    @property
-    def is_hamiltonian(self) -> bool:
-        return self.status == HAMILTONIAN
 
 
 def _branch_edge(asg: EdgeAssignment) -> int:

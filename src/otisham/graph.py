@@ -81,9 +81,6 @@ class Graph:
         """Each edge's endpoint indices in the orientation it was added in."""
         return [(b, a) if f else (a, b) for (a, b), f in zip(self.ends, self.flipped)]
 
-    def vertices(self) -> list[str]:
-        return list(self.labels)
-
     def edges(self) -> list[tuple[str, str]]:
         lab = self.labels
         return [(lab[a], lab[b]) for a, b in self.oriented_ends()]
@@ -101,9 +98,6 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return len(self.ends)
-
-    def __contains__(self, v: str) -> bool:
-        return v in self.index
 
     def __repr__(self):
         return f"Graph(|V|={self.n_vertices}, |E|={self.n_edges})"

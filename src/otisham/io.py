@@ -82,7 +82,7 @@ def to_dot(graph: Graph) -> str:
     """DOT text; the vertices of an OTIS network are grouped into DOT
     subgraphs, one per cluster."""
     out = ['graph "g" {']
-    groups = _otis_clusters(graph.vertices())
+    groups = _otis_clusters(graph.labels)
     if groups is not None:
         for gname, members in groups.items():
             out.append(f"  subgraph {_dot_id('cluster_' + gname)} {{")
@@ -91,7 +91,7 @@ def to_dot(graph: Graph) -> str:
                 out.append(f"    {_dot_id(v)};")
             out.append("  }")
     else:
-        for v in graph.vertices():
+        for v in graph.labels:
             out.append(f"  {_dot_id(v)};")
     for u, v in graph.edges():
         out.append(f"  {_dot_id(u)} -- {_dot_id(v)};")
@@ -111,6 +111,10 @@ def _load_json(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise GraphError(f"{what} is nested too deeply") from None
+    except ValueError:  # an integer past CPython's digit limit
+        raise GraphError(f"{what} holds a number too long to read") from None
 
 
 def _is_labels(value, length: int | None = None) -> bool:

@@ -111,14 +111,15 @@ def otis(base: Graph) -> Graph:
     vertex, plus the transpose edge <g,u> -- <u,g> for every g != u.
 
     Over an N-vertex base, OTIS vertex <g,u> gets index g*N + u, so the
-    edges are index arithmetic and each label is formatted once."""
-    verts = base.vertices()
-    size = len(verts)
+    edges are index arithmetic and each label is formatted once.  A network
+    over ``MAX_EDGES`` is refused before anything is built for it."""
+    size = base.n_vertices
     if size < 2:
         raise GraphError("OTIS base needs at least 2 vertices")
+    _check_size(f"OTIS of a {size}-vertex base", size * base.n_edges + size * (size - 1) // 2)
     g = Graph()
     # link stores these, the ints ``index`` holds, not a fresh int per edge end
-    ids = [g.add_vertex(label) for label in otis_labels(verts)]
+    ids = [g.add_vertex(label) for label in otis_labels(base.labels)]
     if g.n_vertices != size * size:
         raise GraphError("base labels collide once joined into OTIS labels")
     base_edges = base.oriented_ends()

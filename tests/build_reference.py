@@ -46,7 +46,7 @@ from otisham.constructive import (
     classify,
     key_edges,
 )
-from otisham.engine import INCONCLUSIVE, Contradiction, EdgeAssignment, SearchBudget, decide, propagate
+from otisham.engine import HAMILTONIAN, INCONCLUSIVE, Contradiction, EdgeAssignment, SearchBudget, decide, propagate
 from otisham.graph import Graph, is_hamiltonian_cycle
 from otisham.topology import bowtie_links, bowtie_pair, gen_bowtie, otis, otis_label
 
@@ -83,7 +83,7 @@ def reference_build(m: int, n: int, *, budget: SearchBudget | None = None):
             return contradiction(f"seeding {ke.tag} already contradicts: {asg.conflict}")
     result = propagate(asg)
     if isinstance(result, Contradiction):
-        return contradiction(str(result))
+        return contradiction(repr(result))
     if asg.n_undecided == 0:
         cycle = asg.extract_cycle()
         if not is_hamiltonian_cycle(graph, cycle):
@@ -97,7 +97,7 @@ def reference_build(m: int, n: int, *, budget: SearchBudget | None = None):
             verdict = decide(graph, seed=asg, budget=budget)
         if verdict.status == INCONCLUSIVE:
             return ReferenceFailure(INCONCLUSIVE, f"search budget exhausted: {verdict.reason}")
-        if not verdict.is_hamiltonian:
+        if verdict.status != HAMILTONIAN:
             return contradiction(f"no completion of the table fixpoint: {verdict.status}")
         cycle = verdict.cycle
     return ReferenceBuild(cycle=cycle, param_class=cls, steps=asg.steps, graph=graph)

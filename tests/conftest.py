@@ -139,7 +139,7 @@ def sweep_roots(m: int, n: int, graph: Graph) -> list[str]:
     """The three IST roots ``sweep`` checks on OTIS(BF(m,n)): the first
     vertex, <c,c> at the cut vertex c and the last vertex."""
     c = str(bowtie_pair(m, n)[0])
-    return [graph.vertices()[0], otis_label(c, c), graph.vertices()[-1]]
+    return [graph.labels[0], otis_label(c, c), graph.labels[-1]]
 
 
 def table_seed(m: int, n: int) -> tuple[Graph, EdgeAssignment]:

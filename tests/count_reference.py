@@ -25,14 +25,14 @@ def counting_refutation(graph: Graph) -> CountingCertificate | None:
     if budget < 0:
         return None
     high: list[str] = []
-    for v in sorted(graph.vertices()):
+    for v in sorted(graph.labels):
         if degree(graph, v) >= 4 and all(not has_edge(graph, v, w) for w in high):
             high.append(v)
     family_bound = sum(degree(graph, v) - 2 for v in high)
-    high_or_excluded = {v for v in graph.vertices() if degree(graph, v) >= 4}
+    high_or_excluded = {v for v in graph.labels if degree(graph, v) >= 4}
     candidates = [
         v
-        for v in graph.vertices()
+        for v in graph.labels
         if degree(graph, v) == 3
         and not any(w in high_or_excluded for w in neighbors(graph, v))
     ]
@@ -65,7 +65,7 @@ def certificate_problems(graph: Graph, cert: CountingCertificate) -> list[str]:
     problems = []
     if cert.edge_budget != graph.n_edges - graph.n_vertices:
         problems.append(f"edge_budget {cert.edge_budget} is not |E| - |V|")
-    unknown = [v for v in counted if v not in graph]
+    unknown = [v for v in counted if v not in graph.index]
     if unknown:
         return problems + [f"unknown vertices {unknown}"]
     if len(set(counted)) != len(counted):

@@ -36,7 +36,7 @@ from otisham.topology import bowtie_links
 
 def graph_hash(graph: Graph) -> str:
     h = hashlib.sha256()
-    for v in sorted(graph.vertices()):
+    for v in sorted(graph.labels):
         h.update(b"v")
         h.update(v.encode())
     for u, v in sorted(tuple(sorted(e)) for e in graph.edges()):
@@ -54,7 +54,7 @@ def cycle_violation(graph: Graph, order) -> str | None:
     if len(set(order)) != len(order):
         return "duplicate-vertex"
     for v in order:
-        if v not in graph:
+        if v not in graph.index:
             return "unknown-vertex"
     if len(order) < 3:
         return "too-short"
@@ -184,7 +184,7 @@ def from_edges(edges, vertices=()) -> LabelGraph:
 
 def write_edge_list(graph: Graph) -> str:
     lines = [f"V {graph.n_vertices}"]
-    for v in graph.vertices():
+    for v in graph.labels:
         if degree(graph, v) == 0:
             lines.append(v)
     for u, v in graph.edges():

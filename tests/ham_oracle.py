@@ -13,7 +13,7 @@ from graph_reference import neighbors
 
 def oracle_find_cycle(graph: Graph) -> list[str] | None:
     """Some Hamiltonian cycle as a vertex order, or None."""
-    verts = graph.vertices()
+    verts = graph.labels
     n = len(verts)
     if n < 3:
         return None
@@ -44,7 +44,7 @@ def oracle_is_hamiltonian(graph: Graph) -> bool:
 
 def oracle_all_cycles(graph: Graph) -> list[frozenset[tuple[str, str]]]:
     """Every Hamiltonian cycle as a frozen edge set (each cycle once)."""
-    verts = graph.vertices()
+    verts = graph.labels
     n = len(verts)
     if n < 3:
         return []

@@ -43,7 +43,7 @@ def independence_report(pair: TreePair, graph: Graph) -> IndependenceReport:
     vertex_ok = True
     edge_ok = True
     violation = None
-    for v in graph.vertices():
+    for v in graph.labels:
         if v == pair.root:
             continue
         p1 = _root_path(pair.parent1, pair.root, v)
@@ -68,7 +68,7 @@ def tree_edges(parent: dict[str, str]) -> set[tuple[str, str]]:
 
 def is_spanning_tree(parent: dict[str, str], root: str, graph: Graph) -> bool:
     """Union-find acyclicity plus the |V|-1 edge count and full coverage."""
-    verts = graph.vertices()
+    verts = graph.labels
     if set(parent) | {root} != set(verts) or root in parent:
         return False
     if len(parent) != len(verts) - 1:

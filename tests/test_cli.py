@@ -230,7 +230,7 @@ def test_reproduce_rejects_tampered_generator(monkeypatch):
     def tampered(base):
         """The OTIS network of ``base`` less its last edge."""
         net = otis(base)
-        return Graph.from_edges(net.edges()[:-1], vertices=net.vertices())
+        return Graph.from_edges(net.edges()[:-1], vertices=net.labels)
 
     monkeypatch.setattr(cli, "otis", tampered)
     report, mismatches = cli.reproduce_report()
@@ -408,6 +408,10 @@ def test_emit_key_edges_small_figure_seeds_no_table_edges(m, n):
 
 C4_SEED_CERT = {"graph_hash": "x", "order": ["1", "2", "3", "4"], "verified": True}
 
+DEEP_JSON = "[" * 100_000
+LONG_INTEGER_JSON = '{"verified": ' + "7" * 5000 + "}"
+PATH_2400 = "V 2400\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 2400))  # 8,636,400 OTIS edges
+
 # (argv with {graph}/{file} placeholders, text of {file})
 BAD_INPUTS = {
     "cycle length below 3": (["ham-build", "--m", "2", "--n", "5"], None),
@@ -446,6 +450,23 @@ BAD_INPUTS = {
     "butterfly of dimension 2": (["gen", "butterfly", "--dim", "2"], None),
     "cycle given --m": (["gen", "cycle", "--k", "5", "--m", "3"], None),
     "sweep below the smallest base": (["sweep", "--max-base", "4"], None),
+    # json.loads raises RecursionError and ValueError past these
+    "ist certificate nested too deeply": (["ist", "--cycle", "{file}", "--root", "1"], DEEP_JSON),
+    "verify certificate nested too deeply": (["verify", "--in", "{graph}", "--cycle", "{file}"], DEEP_JSON),
+    "seed nested too deeply": (["decide", "--in", "{graph}", "--seed", "{file}"], DEEP_JSON),
+    "ist certificate with a long integer": (["ist", "--cycle", "{file}", "--root", "1"], LONG_INTEGER_JSON),
+    "seed with a long integer": (["decide", "--in", "{graph}", "--seed", "{file}"], LONG_INTEGER_JSON),
+    "OTIS over the size limit": (["otis", "--in", "{file}"], PATH_2400),
+}
+
+# the one error line of each BAD_INPUTS case named here
+BAD_INPUT_MESSAGES = {
+    "ist certificate nested too deeply": "cycle certificate is nested too deeply",
+    "verify certificate nested too deeply": "cycle certificate is nested too deeply",
+    "seed nested too deeply": "seed is nested too deeply",
+    "ist certificate with a long integer": "cycle certificate holds a number too long to read",
+    "seed with a long integer": "seed holds a number too long to read",
+    "OTIS over the size limit": "OTIS of a 2400-vertex base is over the size limit of 8388608 edges",
 }
 
 
@@ -475,6 +496,8 @@ def test_bad_input_fails_closed(case, tmp_path):
     assert proc.stdout == ""
     errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1 and "Traceback" not in proc.stderr, proc.stderr
+    if case in BAD_INPUT_MESSAGES:
+        assert proc.stderr == f"error: {BAD_INPUT_MESSAGES[case]}\n"
 
 
 @pytest.mark.parametrize("argv,message", [

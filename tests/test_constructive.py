@@ -15,7 +15,7 @@ from otisham.constructive import (
     classify,
     key_edges,
 )
-from otisham.engine import decide
+from otisham.engine import HAMILTONIAN, decide
 from otisham.graph import is_hamiltonian_cycle
 from otisham.topology import bowtie_pair, gen_bowtie, otis, otis_bowtie_violation
 
@@ -387,6 +387,56 @@ def test_every_module_uses_what_it_imports():
     assert unused == {stem: wrapped if stem == "constructive" else set() for stem in unused}
 
 
+def _defined_names(statements):
+    """(name, statement) for each name that ``statements`` bind at their own
+    level: a ``def``, a ``class`` or an assignment's target names."""
+    for stmt in statements:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        yield node.id, stmt
+
+
+def test_every_name_the_package_defines_is_read_by_the_program():
+    # the program is src/otisham and bench/: a name only tests read is no part
+    # of it.  Reads match by name: a loaded name or attribute, an imported
+    # name or a keyword argument.  A read inside the name's own definition
+    # does not count; a class's dunder members are called by Python itself
+    src = Path(constructive.__file__).parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py")) + sorted((src.parents[1] / "bench").glob("*.py"))}
+    reads: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append((path, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    reads.setdefault(alias.name, []).append((path, node.lineno))
+            elif isinstance(node, ast.keyword) and node.arg:
+                reads.setdefault(node.arg, []).append((path, node.lineno))
+    unread = []
+    for path, tree in trees.items():
+        if path.parent != src:
+            continue
+        defined = list(_defined_names(tree.body))
+        defined += [
+            (f"{cls.name}.{name}", stmt)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for name, stmt in _defined_names(cls.body)
+            if not (name.startswith("__") and name.endswith("__"))
+        ]
+        for qualname, stmt in defined:
+            inside = range(stmt.lineno, stmt.end_lineno + 1)
+            if all(where == path and line in inside for where, line in reads.get(qualname.rpartition(".")[2], [])):
+                unread.append(f"{path.stem}.{qualname}")
+    assert len(reads) > 100
+    assert unread == []
+
+
 def test_construction_cost_is_deterministic():
     assert build_ham_cycle(5, 9).steps == build_ham_cycle(5, 9).steps
 
@@ -401,9 +451,9 @@ def test_second_edge_disjoint_cycle_impossible_small():
         used = edge_set(result.cycle)
         graph = otis(gen_bowtie(m, n))
         stripped = Graph()
-        for v in graph.vertices():
+        for v in graph.labels:
             stripped.add_vertex(v)
         for u, v in graph.edges():
             if tuple(sorted((u, v))) not in used:
                 stripped.link(stripped.add_vertex(u), stripped.add_vertex(v))
-        assert not decide(stripped).is_hamiltonian
+        assert decide(stripped).status != HAMILTONIAN

@@ -9,6 +9,7 @@ from otisham.engine import (
     DELETED,
     EdgeAssignment,
     FORCED,
+    HAMILTONIAN,
     SearchBudget,
     SHORT_SUBCYCLE,
     UNDECIDED,
@@ -98,10 +99,10 @@ def test_chord_rule_preempts_explicit_subcycle():
 
 def test_decide_cycle_and_simple_graphs():
     v = decide(gen_cycle(5))
-    assert v.is_hamiltonian
+    assert v.status == HAMILTONIAN
     assert list(v.cycle) == ["1", "2", "3", "4", "5"]
     assert decide(gen_path(4)).status == "non-hamiltonian"
-    assert decide(gen_complete(6)).is_hamiltonian
+    assert decide(gen_complete(6)).status == HAMILTONIAN
 
 
 def test_decide_refutes_both_even_even_instances():
@@ -125,7 +126,7 @@ def test_path_end_branching_decides_in_few_nodes():
         graph = otis(gen_bowtie(m, n))
         verdict = decide(graph)
         assert (verdict.status, verdict.nodes) == (status, nodes), (m, n)
-        assert not verdict.is_hamiltonian or is_hamiltonian_cycle(graph, verdict.cycle)
+        assert verdict.status != HAMILTONIAN or is_hamiltonian_cycle(graph, verdict.cycle)
     # the 3-blade flower (5,5,6): cycles of 5, 5 and 6 vertices through hub
     # 0, inconclusive after 10^6 nodes under the fewest-live rule
     edges, nxt = [], 1
@@ -135,7 +136,7 @@ def test_path_end_branching_decides_in_few_nodes():
         edges += [(str(a), str(b)) for a, b in zip(ring, ring[1:])]
     graph = otis(Graph.from_edges(edges))
     verdict = decide(graph, budget=SearchBudget(max_nodes=10**4))
-    assert verdict.is_hamiltonian and is_hamiltonian_cycle(graph, verdict.cycle)
+    assert verdict.status == HAMILTONIAN and is_hamiltonian_cycle(graph, verdict.cycle)
 
 
 @pytest.mark.parametrize(
@@ -179,7 +180,7 @@ def test_seeded_search_memory_is_small_and_completes_the_seed():
     # a state copy per level took 148 MB here
     graph, seed = table_seed(31, 30)
     verdict, peak = peak_bytes(lambda: decide(graph, seed=seed))
-    assert verdict.is_hamiltonian and verdict.max_depth == 1271
+    assert verdict.status == HAMILTONIAN and verdict.max_depth == 1271
     assert peak < 5 * 2**20, peak
     # the search runs on the seed itself and leaves it holding the cycle
     assert seed.is_complete() and seed.extract_cycle() == verdict.cycle
@@ -196,8 +197,8 @@ def test_decide_agrees_with_oracle_on_random_graphs():
         g = random_graph(rng)
         verdict = decide(g)
         assert verdict.status in ("hamiltonian", "non-hamiltonian")
-        assert verdict.is_hamiltonian == oracle_is_hamiltonian(g)
-        if verdict.is_hamiltonian:
+        assert (verdict.status == HAMILTONIAN) == oracle_is_hamiltonian(g)
+        if verdict.status == HAMILTONIAN:
             assert is_hamiltonian_cycle(g, verdict.cycle)
 
 
@@ -419,4 +420,4 @@ def test_counting_never_contradicts_the_decider():
     for g in fixtures:
         cert = counting_refutation(g)
         if cert is not None:
-            assert not decide(g).is_hamiltonian
+            assert decide(g).status != HAMILTONIAN

@@ -5,7 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import otisham
 from otisham.graph import (
@@ -15,7 +15,14 @@ from otisham.graph import (
     graph_hash,
     is_hamiltonian_cycle,
 )
-from otisham.io import read_edge_list, to_dot, write_cycle_certificate, read_cycle_certificate, write_edge_list
+from otisham.io import (
+    read_cycle_certificate,
+    read_edge_list,
+    read_seed,
+    to_dot,
+    write_cycle_certificate,
+    write_edge_list,
+)
 from otisham.topology import gen_bowtie, gen_butterfly, gen_cycle, gen_path, otis
 
 import graph_reference
@@ -41,7 +48,7 @@ def test_basic_container_semantics():
 
 def test_cycle_graph_degrees():
     c5 = gen_cycle(5)
-    assert all(degree(c5, v) == 2 for v in c5.vertices())
+    assert all(degree(c5, v) == 2 for v in c5.labels)
 
 
 def test_bowtie_cut_vertex_degree():
@@ -136,7 +143,7 @@ def test_cycle_violation_matches_the_label_level_reference():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_handshake_on_random_graphs(seed):
     g = random_graph(random.Random(seed))
-    assert sum(degree(g, v) for v in g.vertices()) == 2 * g.n_edges
+    assert sum(degree(g, v) for v in g.labels) == 2 * g.n_edges
 
 
 @given(st.integers(min_value=0, max_value=2_000))
@@ -144,7 +151,7 @@ def test_bfs_distance_symmetry(seed):
     from collections import deque
 
     g = random_graph(random.Random(seed), max_vertices=8)
-    verts = g.vertices()
+    verts = g.labels
 
     def dist(a, b):
         seen = {a: 0}
@@ -167,7 +174,7 @@ def test_edge_list_round_trip():
     text = write_edge_list(g)
     assert text.startswith("V 36\n")
     back = read_edge_list(text)
-    assert back.vertices() == g.vertices()
+    assert back.labels == g.labels
     assert sorted(map(sorted, back.edges())) == sorted(map(sorted, g.edges()))
     assert graph_hash(back) == graph_hash(g)
 
@@ -175,7 +182,7 @@ def test_edge_list_round_trip():
 def test_edge_list_round_trips_isolated_vertex():
     g = gen_path(1)
     back = read_edge_list(write_edge_list(g))
-    assert back.vertices() == ["1"]
+    assert back.labels == ["1"]
     assert back.n_edges == 0
 
 
@@ -206,6 +213,17 @@ def test_cycle_certificate_fields_are_type_checked(field, value):
         read_cycle_certificate(json.dumps(cert))
     with pytest.raises(GraphError):
         read_cycle_certificate(json.dumps([cert]))
+
+
+@pytest.mark.parametrize("reader", [read_edge_list, read_cycle_certificate, read_seed])
+@given(st.text())
+@example("[" * 100_000)  # json.loads raises RecursionError
+@example('{"verified": ' + "7" * 5000 + "}")  # and ValueError past CPython's digit limit
+def test_text_readers_raise_only_graph_errors(reader, text):
+    try:
+        reader(text)
+    except GraphError:
+        pass
 
 
 def test_edge_ids_store_lower_index_first_and_keep_orientation():
@@ -262,7 +280,7 @@ def test_edge_lists_and_from_edges_match_the_label_level_reference():
         text = write_edge_list(g)
         assert text == graph_reference.write_edge_list(g)
         assert arrays(read_edge_list(text)) == arrays(graph_reference.read_edge_list(text))
-        edges, verts = g.edges(), g.vertices()
+        edges, verts = g.edges(), g.labels
         for vertices in (verts, ()):
             want = graph_reference.from_edges(edges, vertices)
             assert arrays(Graph.from_edges(edges, vertices)) == arrays(want)

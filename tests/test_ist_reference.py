@@ -154,7 +154,7 @@ def missing_edge(rng):
     if mode == 0:  # an unknown label
         parent[x] = "zz"
     elif mode == 1:  # a vertex that is not adjacent, or x itself
-        far = [w for w in graph.vertices() if not has_edge(graph, x, w)]
+        far = [w for w in graph.labels if not has_edge(graph, x, w)]
         parent[x] = rng.choice(far)
     else:  # an unknown child
         parent["zz"] = x
@@ -289,7 +289,7 @@ def wrong_graph(rng):
     if mode == 1:
         j = rng.randrange(len(order))
         cut = {order[j], order[(j + 1) % len(order)]}
-        return order, Graph.from_edges((e for e in graph.edges() if set(e) != cut), vertices=graph.vertices())
+        return order, Graph.from_edges((e for e in graph.edges() if set(e) != cut), vertices=graph.labels)
     graph.add_vertex("zz")
     return order, graph
 

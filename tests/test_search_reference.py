@@ -12,7 +12,7 @@ import pytest
 
 from otisham import engine
 from otisham.constructive import ParamClass, classify
-from otisham.engine import UNDECIDED, EdgeAssignment, SearchBudget, decide
+from otisham.engine import HAMILTONIAN, UNDECIDED, EdgeAssignment, SearchBudget, decide
 from otisham.topology import gen_bowtie, otis
 
 import search_reference
@@ -33,7 +33,7 @@ def assert_same_verdict(graph, seed=None, budget=None):
 )
 def test_seeded_build_searches_match(m, n):
     graph, seed = table_seed(m, n)
-    assert assert_same_verdict(graph, seed=seed).is_hamiltonian
+    assert assert_same_verdict(graph, seed=seed).status == HAMILTONIAN
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_BASES))

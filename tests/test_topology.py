@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from otisham import constructive
+from otisham import constructive, topology
 from otisham.cli import sweep_pairs
 from otisham.constructive import build_ham_cycle, classify
 from otisham.graph import Graph, GraphError, cycle_violation, graph_hash, is_connected
@@ -22,7 +22,7 @@ from otisham.topology import (
 )
 
 import graph_reference
-from conftest import TABLE_CLASS_PAIRS, random_connected_graph
+from conftest import TABLE_CLASS_PAIRS, peak_bytes, random_connected_graph
 from graph_reference import degree, expand, has_edge, neighbors, segments_of
 
 
@@ -76,10 +76,10 @@ def test_bowtie_is_two_cycles_at_cut_vertex():
 def test_butterfly_counts_and_regularity():
     bf3 = gen_butterfly(3)
     assert (bf3.n_vertices, bf3.n_edges) == (24, 48)
-    assert all(degree(bf3, v) == 4 for v in bf3.vertices())
+    assert all(degree(bf3, v) == 4 for v in bf3.labels)
     bf4 = gen_butterfly(4)
     assert (bf4.n_vertices, bf4.n_edges) == (64, 128)
-    assert all(degree(bf4, v) == 4 for v in bf4.vertices())
+    assert all(degree(bf4, v) == 4 for v in bf4.labels)
 
 
 def test_butterfly_neighbor_rule():
@@ -111,7 +111,7 @@ def test_otis_counts():
 
 def test_bowtie_otis_degree_census():
     g = otis(gen_bowtie(4, 6))
-    census = Counter(degree(g, v) for v in g.vertices())
+    census = Counter(degree(g, v) for v in g.labels)
     nb = 9  # base vertices
     assert census == {4: 1, 2: nb - 1, 5: nb - 1, 3: nb * nb - 1 - 2 * (nb - 1)}
     assert degree(g, "4:4") == 4
@@ -123,7 +123,7 @@ def test_bowtie_otis_degree_census():
 def test_otis_degree_law(seed):
     base = random_connected_graph(random.Random(seed), max_vertices=7)
     g = otis(base)
-    for label in g.vertices():
+    for label in g.labels:
         cluster, proc = divmod(g.index[label], base.n_vertices)  # <g,u> is g*N + u
         expected = degree(base, base.labels[proc]) + (1 if cluster != proc else 0)
         assert degree(g, label) == expected
@@ -132,7 +132,7 @@ def test_otis_degree_law(seed):
 def test_transpose_edges_form_perfect_matching():
     base = gen_bowtie(3, 4)
     g = otis(base)
-    off_diag = [v for v in g.vertices() if len(set(v.split(":"))) == 2]
+    off_diag = [v for v in g.labels if len(set(v.split(":"))) == 2]
     matched = set()
     for label in off_diag:
         cluster, proc = label.split(":")
@@ -146,10 +146,10 @@ def test_transpose_edges_form_perfect_matching():
 def test_cluster_induced_subgraph_matches_base():
     base = gen_bowtie(3, 5)
     g = otis(base)
-    for cluster in base.vertices():
+    for cluster in base.labels:
         for u, v in base.edges():
             assert has_edge(g, f"{cluster}:{u}", f"{cluster}:{v}")
-        members = [f"{cluster}:{u}" for u in base.vertices()]
+        members = [f"{cluster}:{u}" for u in base.labels]
         intra = sum(
             1
             for k, a in enumerate(members)
@@ -205,6 +205,28 @@ def test_size_limit_admits_the_largest_network_in_use():
     # 8,383,926, is the largest within the limit
     assert bowtie_pair(1001, 1000) == (1001, 1000)
     assert bowtie_pair(2362, 3) == (3, 2362)
+
+
+def test_otis_refuses_an_oversize_network_before_building_it():
+    # 2,400 clusters of 2,399 path edges and 2,878,800 transpose edges:
+    # 8,636,400 in all, refused with only the base in memory
+    base = gen_path(2400)
+
+    def refuse():
+        with pytest.raises(GraphError, match="^OTIS of a 2400-vertex base is over the size limit of 8388608 edges$"):
+            otis(base)
+
+    _, peak = peak_bytes(refuse)
+    assert peak < 1 << 20
+
+
+def test_otis_size_limit_counts_cluster_and_transpose_edges(monkeypatch):
+    # OTIS(C_10): 10 clusters of 10 edges and 45 transpose edges
+    monkeypatch.setattr(topology, "MAX_EDGES", 145)
+    assert otis(gen_cycle(10)).n_edges == 145
+    monkeypatch.setattr(topology, "MAX_EDGES", 144)
+    with pytest.raises(GraphError, match="^OTIS of a 10-vertex base is over the size limit of 144 edges$"):
+        otis(gen_cycle(10))
 
 
 def test_graph_free_hash_matches_graph_hash():
