@@ -3,10 +3,11 @@
 Exit codes: 0 success / verdict obtained, 2 inconclusive (budget),
 3 verification mismatch or a key-edge table fault, 4 usage error: a bad
 option or size (such as ``sweep --max-base`` below 5, or a graph or OTIS
-network over the size limit of ``topology.MAX_EDGES``, 2**23 edges), a
-``gen`` option missing or foreign to its family, an unreadable or
-malformed input file, an unwritable ``--out`` path, ``ham-build --out``
-on an even-even pair, or a label or pair the graph does not have.
+network over the size limit of ``topology.MAX_EDGES``, 2**23 edges), an
+unreadable or malformed input file, an unwritable ``--out`` path,
+``ham-build --out`` on an even-even pair or with ``--emit-key-edges``, or
+a label or pair the graph does not have; 141, with no message, when the
+output's reader closes early (what a shell reports for a SIGPIPE death).
 Handlers raise ``GraphError`` for usage errors and ``KeyEdgeError`` for
 table faults, and ``main`` alone prints each as one ``error:`` line.
 ``--json`` output is byte-identical across runs for identical inputs,
@@ -59,6 +60,7 @@ EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
 EXIT_MISMATCH = 3
 EXIT_USAGE = 4
+EXIT_SIGPIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,7 +124,7 @@ def _write_graph(graph: Graph, out: str | None, dot: bool) -> None:
         sys.stdout.write(text)
 
 
-# family -> (generator, the options it takes, in call order)
+# family -> (generator, the options its sub-parser takes, in call order)
 _GEN = {
     "bowtie": (gen_bowtie, ("m", "n")),
     "butterfly": (gen_butterfly, ("dim",)),
@@ -134,13 +136,7 @@ _GEN = {
 
 def cmd_gen(args) -> int:
     gen, opts = _GEN[args.family]
-    values = [getattr(args, opt) for opt in opts]
-    if None in values:
-        raise GraphError(f"gen {args.family} requires {' and '.join('--' + opt for opt in opts)}")
-    stray = [f"--{opt}" for opt in ("m", "n", "dim", "k") if opt not in opts and getattr(args, opt) is not None]
-    if stray:
-        raise GraphError(f"gen {args.family} takes no {' or '.join(stray)}")
-    _write_graph(gen(*values), args.out, args.dot)
+    _write_graph(gen(*(getattr(args, opt) for opt in opts)), args.out, args.dot)
     return EXIT_OK
 
 
@@ -198,17 +194,14 @@ _EVEN_EVEN_DETAIL = "no table exists for even-even pairs; only (4,4) and (4,6) a
 
 
 def cmd_ham_build(args) -> int:
-    if args.emit_key_edges and (args.dot or args.out):
-        raise GraphError("--emit-key-edges takes neither --dot nor --out")
+    if args.emit_key_edges and args.out:
+        raise GraphError("--emit-key-edges takes no --out")
     cls = classify(args.m, args.n)
     head = {"m": args.m, "n": args.n, "class": cls.value}
     if cls is ParamClass.EVEN_EVEN:  # no table: every mode but --out gets this one report
         if args.out:
             raise GraphError(f"--out needs a built cycle, and the {cls.value} pair {(args.m, args.n)} has no table")
         _emit(args, head | {"failure": "unsupported-class", "detail": _EVEN_EVEN_DETAIL})
-        return EXIT_OK
-    if args.dot:
-        _write_graph(otis(gen_bowtie(args.m, args.n)), args.out, True)
         return EXIT_OK
     if args.emit_key_edges:
         rows = [{"cluster": ke.cluster, "edge": [ke.a, ke.b], "tag": ke.tag} for ke in key_edges(args.m, args.n)]
@@ -317,22 +310,14 @@ def reproduce_report() -> tuple[dict, list[str]]:
 
 def cmd_reproduce(args) -> int:
     report, mismatches = reproduce_report()
-    payload = dict(report)
-    payload["mismatches"] = mismatches
-    payload["ok"] = not mismatches
-    _emit(args, payload)
+    _emit(args, report | {"mismatches": mismatches, "ok": not mismatches})
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
 def sweep_pairs(max_base: int) -> list[tuple[int, int]]:
     """Every (m, n) with 3 <= m <= n and m + n - 1 <= max_base, as given
     (not normalized), even-even pairs included."""
-    pairs = []
-    for a in range(3, max_base + 1):
-        for b in range(a, max_base + 1):
-            if a + b - 1 <= max_base:
-                pairs.append((a, b))
-    return pairs
+    return [(m, n) for m in range(3, max_base + 1) for n in range(m, max_base + 2 - m)]
 
 
 def _sweep_one(m: int, n: int) -> dict:
@@ -395,14 +380,14 @@ def build_parser() -> _Parser:
             p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
-    p = add("gen", cmd_gen, takes_json=False, help="generate a base graph")
-    p.add_argument("family", choices=["bowtie", "butterfly", "cycle", "path", "complete"])
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--out")
-    p.add_argument("--dot", action="store_true")
+    families = add("gen", cmd_gen, takes_json=False, help="generate a base graph").add_subparsers(
+        dest="family", required=True)
+    for family, (_, opts) in _GEN.items():
+        p = families.add_parser(family)
+        for opt in opts:
+            p.add_argument(f"--{opt}", type=int, required=True)
+        p.add_argument("--out")
+        p.add_argument("--dot", action="store_true")
 
     p = add("otis", cmd_otis, takes_json=False, help="swapped network of a base graph")
     p.add_argument("--in", required=True)
@@ -424,8 +409,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--emit-key-edges", action="store_true")
-    p.add_argument("--out")
-    p.add_argument("--dot", action="store_true")
+    p.add_argument("--out", help="write the built cycle's certificate to this file")
 
     p = add("ist", cmd_ist, help="independent spanning trees from a cycle")
     p.add_argument("--cycle", required=True)
@@ -453,7 +437,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.t0 = time.perf_counter()
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader gone early shows here at the latest
+        return code
+    except BrokenPipeError:  # devnull on fd 1, so that the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_SIGPIPE
     except (GraphError, OSError, KeyEdgeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH if isinstance(exc, KeyEdgeError) else EXIT_USAGE

@@ -11,8 +11,10 @@ from .graph import Graph, GraphError
 def write_edge_list(graph: Graph) -> str:
     """``V <count>`` header, then one ``u v`` line per edge.
 
-    Isolated vertices are emitted as bare-label lines so every graph
-    round-trips.
+    Isolated vertices are emitted first, as bare-label lines, so every
+    graph's text round-trips byte for byte.  The vertex numbering comes
+    back in order of first appearance in the text: kept when the graph
+    numbered its vertices as it linked them, changed otherwise.
     """
     lines = [f"V {graph.n_vertices}"]
     lines += [v for v, inc in zip(graph.labels, graph.incident) if not inc]

@@ -2,6 +2,8 @@ import argparse
 import ast
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +21,8 @@ from conftest import CONTRADICTING_TABLES, FAULTY_TABLES, TABLE_CLASS_PAIRS, pea
 from graph_reference import has_edge
 
 CLI = [sys.executable, "-m", "otisham"]
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def child_env() -> dict:
@@ -46,6 +49,41 @@ def test_gen_usage_errors():
     assert run("gen", "butterfly", check=False).returncode == 4
     assert run("gen", "bowtie", "--m", "2", "--n", "4", check=False).returncode == 4
     assert run("nonsense", check=False).returncode == 4
+
+
+@pytest.mark.parametrize("argv", [["gen", "cycle", "--k", "5"], ["sweep", "--max-base", "21", "--json"]],
+                         ids=["small", "large"])
+def test_a_closed_stdout_exits_141_with_no_message(argv):
+    # the read end closes before the child writes.  With stdout buffered, a
+    # small output fails at main's flush and one past the 8 KiB buffer
+    # (11.6 kB here) inside the command; 141 is what a shell reports for a
+    # SIGPIPE death
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(CLI + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_readme_command_lines_run_as_written(tmp_path):
+    # one session in one directory: each line exits 0, or the code its
+    # comment names, and prints what its comment names; a pipe goes
+    # through the shell
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = text.split("## Command line\n", 1)[1].split("```\n", 2)[1].splitlines()
+    assert len(lines) > 10 and all(line.startswith("otisham ") for line in lines)
+    python = f"{shlex.quote(sys.executable)} -m otisham "
+    for line in lines:
+        if "|" in line:
+            argv, shell = line.replace("otisham ", python), True
+        else:
+            argv, shell = CLI + shlex.split(line, comments=True)[1:], False
+        proc = subprocess.run(argv, shell=shell, cwd=tmp_path, capture_output=True, text=True,
+                              timeout=300, env=child_env())
+        code, printed = re.search(r"# exits (\d+)", line), re.search(r"# prints (\S+)", line)
+        assert proc.returncode == (int(code[1]) if code else 0), (line, proc.stderr)
+        assert not printed or proc.stdout == printed[1] + "\n", (line, proc.stdout)
 
 
 def test_otis_pipeline(tmp_path):
@@ -346,25 +384,35 @@ def test_budget_defaults_are_the_search_budget_defaults():
 
 
 def subcommand_options() -> dict[str, tuple[str, ...]]:
-    """Each subcommand's arguments as the parser holds them: option strings,
-    or the name of a positional, leaving out ``-h``/``--help``."""
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    """Each subcommand's arguments as the parser holds them, and each ``gen``
+    family's under ``gen <family>``: option strings, or the name of a
+    positional, leaving out ``-h``/``--help``."""
+    def sub_parsers(parser, prefix):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {prefix + name: p for name, p in sub.choices.items()}
+
+    parsers = sub_parsers(cli.build_parser(), "")
+    parsers |= sub_parsers(parsers["gen"], "gen ")
     return {
         name: tuple(opt for a in p._actions if not isinstance(a, argparse._HelpAction)
                     for opt in a.option_strings or [a.dest])
-        for name, p in sub.choices.items()
+        for name, p in parsers.items()
     }
 
 
 def test_each_subcommand_takes_exactly_its_options():
     # an option added or dropped later shows up here
     assert subcommand_options() == {
-        "gen": ("family", "--m", "--n", "--dim", "--k", "--out", "--dot"),
+        "gen": ("family",),
+        "gen bowtie": ("--m", "--n", "--out", "--dot"),
+        "gen butterfly": ("--dim", "--out", "--dot"),
+        "gen cycle": ("--k", "--out", "--dot"),
+        "gen path": ("--k", "--out", "--dot"),
+        "gen complete": ("--k", "--out", "--dot"),
         "otis": ("--in", "--out", "--dot"),
         "decide": ("--json", "--in", "--budget-nodes", "--budget-secs", "--seed"),
         "refute-count": ("--json", "--in"),
-        "ham-build": ("--json", "--m", "--n", "--emit-key-edges", "--out", "--dot"),
+        "ham-build": ("--json", "--m", "--n", "--emit-key-edges", "--out"),
         "ist": ("--json", "--cycle", "--root", "--in"),
         "verify": ("--json", "--in", "--cycle"),
         "export": ("--in", "--out"),
@@ -388,6 +436,13 @@ def test_an_option_the_command_does_not_take_is_a_usage_error(command, extra, ca
     rc, out, err = call_main(capsys, f"{command} {extra}".split())
     assert (rc, out) == (4, "")
     assert err.endswith(f"error: unrecognized arguments: {extra}\n"), err
+
+
+@pytest.mark.parametrize("command", ["", *sorted(subcommand_options())])
+def test_help_prints_its_usage_on_stdout_alone(command, capsys):
+    rc, out, err = call_main(capsys, [*command.split(), "--help"])
+    assert (rc, err) == (0, "")
+    assert out.startswith(" ".join(["usage: otisham", *command.split(), "[-h]"])), out
 
 
 def test_emit_key_edges_even_even_reports_unsupported():
@@ -432,13 +487,13 @@ BAD_INPUTS = {
     "certificate that repeats a vertex": (
         ["ist", "--cycle", "{file}", "--root", "a"], json.dumps(C4_SEED_CERT | {"order": list("abcade")})),
     "key edges to a file": (["ham-build", "--m", "7", "--n", "7", "--emit-key-edges", "--out", "{file}"], None),
-    "key edges as DOT": (["ham-build", "--m", "7", "--n", "7", "--emit-key-edges", "--dot"], None),
+    "key edges as DOT": (["ham-build", "--m", "7", "--n", "7", "--emit-key-edges", "--dot"], None),  # no such option
     "graph path is a directory": (["decide", "--in", "{dir}"], None),
     "gen output path is a directory": (["gen", "cycle", "--k", "5", "--out", "{dir}"], None),
     "certificate path is a directory": (["ham-build", "--m", "7", "--n", "7", "--out", "{dir}"], None),
     "output path in a missing directory": (["gen", "cycle", "--k", "5", "--out", "{dir}/missing/g.el"], None),
     "even-even certificate to a file": (["ham-build", "--m", "4", "--n", "4", "--out", "{file}"], None),
-    "even-even DOT to a file": (["ham-build", "--m", "4", "--n", "4", "--dot", "--out", "{file}"], None),
+    "even-even DOT to a file": (["ham-build", "--m", "4", "--n", "4", "--dot", "--out", "{file}"], None),  # no such option
     "OTIS base of one vertex": (["otis", "--in", "{file}"], "V 1\na\n"),
     "OTIS base of no vertex": (["otis", "--in", "{file}"], "V 0\n"),
     "vertex count line with a trailing token": (["decide", "--in", "{file}"], "V 2 x\n1 2\n"),
@@ -500,15 +555,27 @@ def test_bad_input_fails_closed(case, tmp_path):
         assert proc.stderr == f"error: {BAD_INPUT_MESSAGES[case]}\n"
 
 
+# the messages that argparse itself gives, after the usage of the parser that raised them
+ARGPARSE_ERRORS = ("the following arguments are required: ", "unrecognized arguments: ")
+
+
+def is_error_line(err: str, message: str) -> bool:
+    """Whether ``err`` is the one ``error: message`` line, after argparse's
+    usage when the message is argparse's own."""
+    if message.startswith(ARGPARSE_ERRORS):
+        return err.startswith("usage: otisham ") and err.endswith(f"\nerror: {message}\n")
+    return err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["gen", "bowtie", "--m", "3"], "gen bowtie requires --m and --n"),
-    (["gen", "butterfly"], "gen butterfly requires --dim"),
-    (["gen", "cycle", "--k", "5", "--m", "3"], "gen cycle takes no --m"),
-    (["gen", "bowtie", "--m", "3", "--n", "4", "--dim", "3", "--k", "5"], "gen bowtie takes no --dim or --k"),
+    # each gen family's sub-parser takes exactly its own options
+    (["gen", "bowtie", "--m", "3"], "the following arguments are required: --n"),
+    (["gen", "butterfly"], "the following arguments are required: --dim"),
+    (["gen", "cycle", "--k", "5", "--m", "3"], "unrecognized arguments: --m 3"),
+    (["gen", "bowtie", "--m", "3", "--n", "4", "--dim", "3", "--k", "5"], "unrecognized arguments: --dim 3 --k 5"),
     (["gen", "path", "--k", "0"], "path needs k >= 1, got 0"),
     (["sweep", "--max-base", "4"], "--max-base must be >= 5"),
-    (["ham-build", "--m", "7", "--n", "7", "--emit-key-edges", "--dot"],
-     "--emit-key-edges takes neither --dot nor --out"),
+    (["ham-build", "--m", "7", "--n", "7", "--emit-key-edges", "--dot"], "unrecognized arguments: --dot"),
     # sizes over the limit are refused before anything is allocated
     (["gen", "cycle", "--k", "99999999999999999999"],
      "cycle of 99999999999999999999 vertices is over the size limit of 8388608 edges"),
@@ -519,10 +586,12 @@ def test_bad_input_fails_closed(case, tmp_path):
      "OTIS(BF(3, 99999999999999999997)) is over the size limit of 8388608 edges"),
     # checked before the even-even pair's own --out error
     (["ham-build", "--m", "4", "--n", "4", "--emit-key-edges", "--out", os.devnull],
-     "--emit-key-edges takes neither --dot nor --out"),
+     "--emit-key-edges takes no --out"),
 ])
 def test_bad_input_message(argv, message, capsys):
-    assert call_main(capsys, argv) == (4, "", f"error: {message}\n")
+    rc, out, err = call_main(capsys, argv)
+    assert (rc, out) == (4, "")
+    assert is_error_line(err, message), err
 
 
 def test_ham_build_out_hashes_the_graph_once(tmp_path, capsys, monkeypatch):
@@ -645,28 +714,30 @@ def test_only_main_catches_a_table_fault():
 
 @pytest.mark.parametrize("m,n", [(7, 7), (7, 9), (7, 8), (3, 14), (3, 15), (5, 7)])
 def test_ham_build_dot_runs_no_search(m, n, tmp_path, capsys, monkeypatch):
+    # ham-build only builds, so the parser refuses --dot; OTIS(BF(m,n)) is
+    # drawn by otis --dot over gen bowtie's file, whose link order keeps the
+    # vertex numbering, and neither command builds or searches
     def refuse(*args, **kwargs):
-        raise AssertionError("ham-build --dot searched")
+        raise AssertionError("a drawing searched")
 
     for owner in (cli, constructive):
         monkeypatch.setattr(owner, "build_ham_cycle", refuse)
         monkeypatch.setattr(owner, "decide", refuse)
-    dot = to_dot(otis(gen_bowtie(m, n)))
-    argv = ["ham-build", "--m", str(m), "--n", str(n), "--dot"]
-    assert call_main(capsys, argv) == (0, dot, "")
-    # --json does not apply to a drawing
-    assert call_main(capsys, argv + ["--json"]) == (0, dot, "")
-    out = tmp_path / "g.dot"
-    assert call_main(capsys, argv + ["--out", str(out)]) == (0, "", "")
-    assert out.read_text() == dot
+    rc, out, err = call_main(capsys, ["ham-build", "--m", str(m), "--n", str(n), "--dot"])
+    assert (rc, out) == (4, "") and is_error_line(err, "unrecognized arguments: --dot"), err
+    base = tmp_path / "b.el"
+    assert call_main(capsys, ["gen", "bowtie", "--m", str(m), "--n", str(n), "--out", str(base)]) == (0, "", "")
+    assert call_main(capsys, ["otis", "--in", str(base), "--dot"]) == (0, to_dot(otis(gen_bowtie(m, n))), "")
 
 
-@pytest.mark.parametrize("dot", [[], ["--dot"]], ids=["certificate", "DOT"])
-def test_ham_build_even_even_out_writes_nothing(dot, tmp_path, capsys):
+@pytest.mark.parametrize("dot,message", [
+    ([], "--out needs a built cycle, and the even-even pair (4, 4) has no table"),
+    (["--dot"], "unrecognized arguments: --dot"),
+], ids=["certificate", "DOT"])
+def test_ham_build_even_even_out_writes_nothing(dot, message, tmp_path, capsys):
     out = tmp_path / "f"
-    argv = ["ham-build", "--m", "4", "--n", "4", *dot, "--out", str(out)]
-    message = "error: --out needs a built cycle, and the even-even pair (4, 4) has no table\n"
-    assert call_main(capsys, argv) == (4, "", message)
+    rc, printed, err = call_main(capsys, ["ham-build", "--m", "4", "--n", "4", *dot, "--out", str(out)])
+    assert (rc, printed) == (4, "") and is_error_line(err, message), err
     assert not out.exists()
 
 
@@ -676,7 +747,7 @@ REWRITES = {
     "shorter": (["gen", "cycle", "--k", "50"], ["gen", "cycle", "--k", "5"]),
     "longer": (["gen", "cycle", "--k", "5"], ["gen", "cycle", "--k", "50"]),
     "same size": (["gen", "cycle", "--k", "5"], ["gen", "path", "--k", "6"]),
-    "DOT over an edge list": (["gen", "cycle", "--k", "50"], ["ham-build", "--m", "3", "--n", "4", "--dot"]),
+    "DOT over an edge list": (["gen", "cycle", "--k", "50"], ["gen", "bowtie", "--m", "3", "--n", "4", "--dot"]),
 }
 
 
@@ -822,7 +893,6 @@ def test_every_ham_build_mode_gives_an_even_even_pair_one_report(m, n, json_flag
         return [line for line in out.splitlines() if not line.startswith("wall_ms: ")]
 
     build = report()
-    assert report("--dot") == build
     assert report("--emit-key-edges") == build
     if json_flag:
         assert json.loads(build[0])["failure"] == "unsupported-class"

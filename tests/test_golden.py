@@ -43,7 +43,8 @@ GEN_ARGS = {
     "P_4": ["path", "--k", "4"],
 }
 IST_PAIRS = [(7, 7), (3, 8), (5, 4), (5, 7)]
-DOT_PAIRS = [(7, 7), (7, 9), (7, 8), (3, 14), (3, 15), (5, 7), (4, 4)]  # each class, even-even included
+# one of each table class, drawn by otis --dot over gen bowtie's file
+DOT_PAIRS = [(7, 7), (7, 9), (7, 8), (3, 14), (3, 15), (5, 7)]
 CERTIFICATE_PAIRS = [(7, 7), (31, 30)]  # ham-build --out
 WITNESS_BASES = {
     "BF(3,3)": lambda: gen_bowtie(3, 3),
@@ -88,7 +89,9 @@ def _gen_files(workdir: Path) -> dict[str, tuple[Path, Path]]:
 
 
 def ham_build_outputs(workdir: Path) -> dict[str, str]:
-    return {f"({m},{n})": run_cli("ham-build", "--m", m, "--n", n, "--json") for m, n in BUILD_PAIRS}
+    out = {f"({m},{n})": run_cli("ham-build", "--m", m, "--n", n, "--json") for m, n in BUILD_PAIRS}
+    out["(4,4) human"] = run_cli("ham-build", "--m", 4, "--n", 4)
+    return out
 
 
 def key_edge_outputs(workdir: Path) -> dict[str, str]:
@@ -117,9 +120,10 @@ def graph_file_outputs(workdir: Path) -> dict[str, str]:
         out[f"otis {name}"] = run_cli("otis", "--in", base)
         out[f"otis {name} --dot"] = run_cli("otis", "--in", base, "--dot")
         out[f"export OTIS({name})"] = run_cli("export", "--in", net)
-    out["ham-build (3,4) --dot"] = run_cli("ham-build", "--m", "3", "--n", "4", "--dot")
     for m, n in DOT_PAIRS:
-        out[f"ham-build ({m},{n}) --dot"] = run_cli("ham-build", "--m", m, "--n", n, "--dot")
+        base = workdir / f"bf{m}_{n}.base"
+        assert run_cli("gen", "bowtie", "--m", m, "--n", n, "--out", base).startswith("0\n")
+        out[f"otis BF({m},{n}) --dot"] = run_cli("otis", "--in", base, "--dot")
     return out
 
 

@@ -23,7 +23,7 @@ from otisham.io import (
     write_cycle_certificate,
     write_edge_list,
 )
-from otisham.topology import gen_bowtie, gen_butterfly, gen_cycle, gen_path, otis
+from otisham.topology import gen_bowtie, gen_butterfly, gen_complete, gen_cycle, gen_path, otis
 
 import graph_reference
 from conftest import GOLDEN_BASES, random_graph
@@ -184,6 +184,29 @@ def test_edge_list_round_trips_isolated_vertex():
     back = read_edge_list(write_edge_list(g))
     assert back.labels == ["1"]
     assert back.n_edges == 0
+
+
+def test_edge_list_text_round_trips_and_the_numbering_follows_the_text():
+    # write(read(write(g))) == write(g) for every graph, and the reader
+    # numbers vertices by first appearance: isolated vertices, then the
+    # ends of each edge.  The butterfly adds every vertex before it links
+    # any, so its numbering, and with it the vertex order of its DOT, is
+    # kept only by ``gen --dot`` itself
+    from_file = read_edge_list(write_edge_list(gen_bowtie(7, 7)))
+    graphs = {
+        "bowtie": (gen_bowtie(7, 7), True),
+        "cycle": (gen_cycle(7), True),
+        "path": (gen_path(6), True),
+        "complete": (gen_complete(6), True),
+        "OTIS of a file": (otis(from_file), True),
+        "butterfly": (gen_butterfly(3), False),
+        "an isolated vertex last": (Graph.from_edges([("a", "b")], vertices=["a", "b", "c"]), False),
+    }
+    for name, (g, kept) in graphs.items():
+        text = write_edge_list(g)
+        back = read_edge_list(text)
+        assert write_edge_list(back) == text, name
+        assert (back.labels == g.labels, to_dot(back) == to_dot(g)) == (kept, kept), name
 
 
 def test_edge_list_rejects_malformed():
