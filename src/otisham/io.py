@@ -12,9 +12,10 @@ def write_edge_list(graph: Graph) -> str:
     """``V <count>`` header, then one ``u v`` line per edge.
 
     Isolated vertices are emitted first, as bare-label lines, so every
-    graph's text round-trips byte for byte.  The vertex numbering comes
-    back in order of first appearance in the text: kept when the graph
-    numbered its vertices as it linked them, changed otherwise.
+    graph's text round-trips byte for byte.  Read back, the vertices are
+    numbered in order of first appearance in the text, so only a graph
+    that numbered them in that order, as one that numbers each vertex
+    when it first links it does, keeps its numbering.
     """
     lines = [f"V {graph.n_vertices}"]
     lines += [v for v, inc in zip(graph.labels, graph.incident) if not inc]
